@@ -1,6 +1,6 @@
 """The benchmark's one command.
 
-    python3 perfbench/run.py --workload decide --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload decide --seed 1 --seconds 20 --trace 0
 
 Run from the root of a checkout of the repository; intcalc is imported from
 its `src/`.  Each workload runs in a fresh interpreter (`worker.py`), one

@@ -5,11 +5,10 @@ It sets the workload up, prints "ready", and waits for one line on stdin:
 "stop" ends it there (a set-up-only run), "go" starts the measurement.
 Untraced, it runs whole passes over the workload's operations, one at a
 time, until it has made the workload's number of passes and the
-operations have taken --seconds.  Every figure is a median, so that a
-burst of load from elsewhere on the machine moves one sample and not the
-result: each operation's latency is its median over the passes, and each
-figure is computed on each of the workload's segments (fixed runs of
-consecutive operations) and reported as its median over them.  Traced, it
+operations have taken --seconds.  Each operation's latency is its median
+over the passes, so that a burst of load from elsewhere on the machine
+moves one sample and not the result, and every figure is computed over
+the whole pass of these medians.  Traced, it
 runs exactly one pass with every layer's public functions wrapped.  The
 last line it prints is the result as JSON.
 """
@@ -112,24 +111,15 @@ def main() -> int:
         while passes < w.passes or sum(map(sum, lat)) < args.seconds:
             one_pass(w, lat, tally)
             passes += 1
-        # each operation's latency is its median over the passes; the
-        # operations are cut into w.segments fixed runs of the pass, and
-        # each figure is its median over the segments
-        typical = [statistics.median(a) for a in lat]
-        k = w.segments
-        cuts = [len(typical) * i // k for i in range(k + 1)]
-        segments = [sorted(typical[cuts[i]:cuts[i + 1]]) for i in range(k)]
-        beyond = min(len(seg) - math.ceil(w.tail / 100 * len(seg)) for seg in segments)
+        typical = sorted(statistics.median(a) for a in lat)
+        beyond = len(typical) - math.ceil(w.tail / 100 * len(typical))
         if beyond < 10:
             print(f"p{w.tail:g} has only {beyond} operations beyond it", file=sys.stderr)
             return 1
-        median = statistics.median
         metrics = {
-            "ops_per_s": {"value": median(len(seg) / sum(seg) for seg in segments), "unit": "1/s"},
-            "latency_p50_ms": {"value": median(percentile(seg, 50) for seg in segments) * 1e3,
-                               "unit": "ms"},
-            "latency_tail_ms": {"value": median(percentile(seg, w.tail) for seg in segments) * 1e3,
-                                "unit": "ms"},
+            "ops_per_s": {"value": len(typical) / sum(typical), "unit": "1/s"},
+            "latency_p50_ms": {"value": percentile(typical, 50) * 1e3, "unit": "ms"},
+            "latency_tail_ms": {"value": percentile(typical, w.tail) * 1e3, "unit": "ms"},
             "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                             "unit": "MB"},
         }

@@ -51,7 +51,7 @@ class Decide:
     """decide_prop(f, 4, nint-star at depth 12) on the graded corpus."""
 
     tail = 99
-    passes, segments = 1, 5
+    passes = 1
     reached = ("kripke.rooted_countermodel", "search.prove", "nested.nested_premises_for",
                "nested.check_nested_derivation")
     SAMPLE = {4: 2400, 5: 1200}
@@ -100,7 +100,7 @@ class Families:
     and Peirce fail at rising depth bounds."""
 
     tail = 90
-    passes, segments = 3, 1
+    passes = 3
     reached = ("search.prove", "labelled.premises_for", "nested.nested_premises_for")
 
     def __init__(self, seed: int):
@@ -148,15 +148,19 @@ _STRUCTURAL_OR_DERIVED = {Rule.REF, Rule.TRA, Rule.ND, Rule.CD, Rule.ID, Rule.ID
                           Rule.BOT_L, Rule.IMP_L, Rule.FORALL_L, Rule.FORALL_R, Rule.EXISTS_R}
 
 
-def _searched_proofs(chain_max: int):
+def _searched_proofs(chain_max: int, lem_max: int):
     """(calculus, derivation) of every pipeline input: G3Int proofs of the
-    Horn chains and of the acceptance suite's propositional corpus, and
-    G3IntQC proofs of its first-order corpus."""
+    Horn chains, of the ~~(p | ~p) conjunctions and of the acceptance
+    suite's propositional corpus, and G3IntQC proofs of its first-order
+    corpus."""
     out = []
     for k in range(1, chain_max + 1):
         for fam in (corpora.chain_forward, corpora.chain_backward):
             out.append(("g3int", search.prove(labelled_goal(fam(k), "g3int"),
                                               SearchConfig("g3int", 4 * k + 4))))
+    for k in range(1, lem_max + 1):
+        out.append(("g3int", search.prove(labelled_goal(corpora.lem_conjunction(k), "g3int"),
+                                          SearchConfig("g3int", 4 * k + 4))))
     for text in corpora.PROP_CORPUS:
         out.append(("g3int", search.prove(labelled_goal(parse_formula(text), "g3int"),
                                           SearchConfig("g3int", 14))))
@@ -172,17 +176,19 @@ class Pipeline:
     """load_proof -> eliminate_structural -> proof_to_nested -> dump_proof."""
 
     tail = 80
-    passes, segments = 3, 1
+    passes = 3
     reached = ("proofio.load_proof", "transform.eliminate_structural",
                "transform.proof_to_nested", "proofio.dump_proof", "labelled.check_derivation",
                "labelled.check_inference", "nested.check_nested_derivation",
                "graph.nestify_with_paths", "graph.is_treelike", "formula.parse_formula")
-    CHAINS = 8
+    # the largest inputs set how many passes fit in a run, and the tail
+    # (one operation's median over the passes) is only as steady as that
+    CHAINS, LEMS = 5, 6
 
     def __init__(self, seed: int):
         rng = random.Random(f"pipeline:{seed}")
         self.ops = []
-        for calc, d in _searched_proofs(self.CHAINS):
+        for calc, d in _searched_proofs(self.CHAINS, self.LEMS):
             end = d.conclusion
             expected = LabelledSequent(end.rel, end.dom,
                                        tuple((w, convert_signature(f, "toNeg")) for w, f in end.ante),
@@ -234,7 +240,7 @@ class Oracle:
     conclusions on random models, refuted goals on their countermodels."""
 
     tail = 95
-    passes, segments = 3, 1
+    passes = 3
     reached = ("kripke.satisfies", "kripke.labelled_sequent_holds",
                "kripke.nested_sequent_holds")
     THEOREMS = 40
