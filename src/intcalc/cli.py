@@ -86,7 +86,6 @@ def cmd_prove(args) -> int:
         depth_bound=args.depth,
         loop_check=not args.no_loop_check,
         parameter_budget=args.parameter_budget,
-        seed=args.seed,
     )
     goal = _parse_goal(args.goal, args.calc)
     d = prove(goal, cfg)
@@ -207,7 +206,7 @@ def cmd_hilbert_check(args) -> int:
 
 
 def cmd_fuzz_soundness(args) -> int:
-    cfg = SearchConfig(calculus=args.calc, depth_bound=args.depth, seed=args.seed)
+    cfg = SearchConfig(calculus=args.calc, depth_bound=args.depth)
     goals = []
     if args.corpus:
         for line in _read(args.corpus).splitlines():
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calc", default="g3int",
                    choices=sorted(CALCULI) + sorted(NESTED_CALCULI))
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parameter-budget", type=int, default=1)
     p.add_argument("--no-loop-check", action="store_true")
     p.add_argument("-o", "--output", default=None)

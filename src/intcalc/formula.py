@@ -173,18 +173,6 @@ def params_of(f: Formula) -> tuple[Param, ...]:
     return tuple(seen)
 
 
-def free_vars(f: Formula) -> frozenset[Var]:
-    if isinstance(f, Bot):
-        return frozenset()
-    if isinstance(f, Atom):
-        return frozenset(t for t in f.args if isinstance(t, Var))
-    if isinstance(f, Neg):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Impl)):
-        return free_vars(f.left) | free_vars(f.right)
-    return free_vars(f.body) - {f.var}
-
-
 def atoms_of(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 

@@ -408,10 +408,6 @@ def _rooted_family(max_worlds: int, names: tuple[str, ...]) -> _Family:
     return _Family(layout, names)
 
 
-def globally_true(m: KripkeModel, f: Formula, env=None) -> bool:
-    return all(satisfies(m, w, f, env) for w in m.worlds)
-
-
 def labelled_sequent_holds(m: KripkeModel, s) -> bool:
     """Truth of a labelled sequent in m.
 

@@ -804,13 +804,18 @@ def check_inference(
 
 def check_derivation(calc: str, d: LabelledDerivation) -> tuple[bool, tuple[int, ...] | None, str]:
     """Checks every node; returns (ok, path-of-first-failure, diagnostic)."""
-    stack: list[tuple[LabelledDerivation, tuple[int, ...]]] = [(d, ())]
+    return check_nodes(d, lambda n, prem: check_inference(
+        calc, n.rule, n.conclusion, prem, n.witness))
+
+
+def check_nodes(d, check) -> tuple[bool, tuple[int, ...] | None, str]:
+    """The walk of a labelled or nested derivation: `check(node, premise
+    conclusions)` gives (ok, diagnostic) for one inference; the result is
+    (ok, path-of-first-failure, diagnostic)."""
+    stack = [(d, ())]
     while stack:
         node, path = stack.pop()
-        ok, msg = check_inference(
-            calc, node.rule, node.conclusion,
-            [p.conclusion for p in node.premises], node.witness,
-        )
+        ok, msg = check(node, [p.conclusion for p in node.premises])
         if not ok:
             return False, path, msg
         for i, p in enumerate(node.premises):

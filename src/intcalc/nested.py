@@ -13,8 +13,8 @@ Rule sets:
                            neg_r, forall_r, exists_l, the shared rules)
 
 Text format: ``p(#a) -> p(#b), [false -> forall x. q(x,#b)]``.  The sequent
-arrow is the first top-level ``->``; implications inside the antecedent
-list must be parenthesised.
+arrow is the first top-level ``->``; implications and quantified formulas
+inside the antecedent list must be parenthesised.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .formula import (
     show_formula,
     substitute_param,
 )
-from .labelled import SequentError, fresh_params
+from .labelled import Rule, SequentError, check_nodes, fresh_params
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,9 @@ def show_nested(s: NestedSequent) -> str:
 def _render_nested(s: NestedSequent) -> str:
     def shw(f: Formula, ante: bool) -> str:
         t = show_formula(f)
-        # implications in the antecedent list would eat the sequent arrow
-        if ante and isinstance(f, Impl):
+        # an implication, or a quantifier whose scope runs to the end, in
+        # the antecedent list would eat the sequent arrow
+        if ante and isinstance(f, (Impl, Forall, Exists)):
             return f"({t})"
         return t
 
@@ -282,6 +283,29 @@ NESTED_CALCULI: dict[str, frozenset[NRule]] = {
     "nintqc": _FO,
     "nint-star": _PROP,
     "nintqc-star": _FO,
+}
+
+
+# The treelike labelled rules and the nested rules they become: the paper's
+# correspondence, read rule by rule.  Labelled rules without an image (the
+# structural rules, the derived rules, the world-creating forall_r) have no
+# nested counterpart.
+RULE_TO_NESTED = {
+    Rule.ID_STAR: NRule.ID,
+    Rule.ID_Q_STAR: NRule.ID_Q,
+    Rule.AND_L: NRule.AND_L,
+    Rule.AND_R: NRule.AND_R,
+    Rule.OR_L: NRule.OR_L,
+    Rule.OR_R: NRule.OR_R,
+    Rule.NEG_L: NRule.NEG_L,
+    Rule.NEG_R: NRule.NEG_R,
+    Rule.IMP_L_STAR: NRule.IMP_L,
+    Rule.IMP_R: NRule.IMP_R,
+    Rule.LIFT: NRule.LIFT,
+    Rule.FORALL_L_STAR: NRule.FORALL_L,
+    Rule.FORALL_R_STAR: NRule.FORALL_R,
+    Rule.EXISTS_L: NRule.EXISTS_L,
+    Rule.EXISTS_R_STAR: NRule.EXISTS_R,
 }
 
 
@@ -475,18 +499,9 @@ def check_nested_inference(
 def check_nested_derivation(
     calc: str, d: NestedDerivation
 ) -> tuple[bool, tuple[int, ...] | None, str]:
-    stack: list[tuple[NestedDerivation, tuple[int, ...]]] = [(d, ())]
-    while stack:
-        node, path = stack.pop()
-        ok, msg = check_nested_inference(
-            calc, node.rule, node.conclusion, node.hole,
-            [p.conclusion for p in node.premises], node.witness,
-        )
-        if not ok:
-            return False, path, msg
-        for i, p in enumerate(node.premises):
-            stack.append((p, path + (i,)))
-    return True, None, "ok"
+    """Checks every node; returns (ok, path-of-first-failure, diagnostic)."""
+    return check_nodes(d, lambda n, prem: check_nested_inference(
+        calc, n.rule, n.conclusion, n.hole, prem, n.witness))
 
 
 def apply_nested_backward(

@@ -1,24 +1,39 @@
 """Backward proof search, a propositional decision procedure, and
 countermodel extraction.
 
-The labelled and star-variant nested calculi have all rules invertible, so
-the search applies rules in a fixed priority order without backtracking
-over rule choice: consuming rules first, then the world-creating rules,
-then copy saturation restricted to applications that add new material.
+One search loop (`_Search._search`) serves both notations, since the
+paper's nested calculi are a notation for treelike labelled sequents with
+the same rules and the same search.  A notation supplies only its rule
+groups, its instance enumeration (built with `premises_for` or
+`nested_premises_for`), the content the eigen block records at a
+world-creating step and the derivation node it builds.  Its extras are
+hooks of that notation: the labelled search prunes sequents equal to an
+ancestor up to label renaming and tries copy targets deep in the
+relational order first; the nested search counts the fresh parameters a
+branch has brought in against parameter_budget.  The rule groups are
+written once, over the labelled rules, and a nested calculus uses their
+images under `nested.RULE_TO_NESTED`.
+
+Each node tries, in this order: the closing rules; the exact-repeat and
+notation prunes; relational saturation (labelled only) and the consuming
+rules, which include the world-creating rules (imp_r, neg_r, forall_r);
+then the copy rules, which keep their principal formula.  In every
+calculus but Fitting's original nint/nintqc all rules are invertible, so
+the first applicable instance of a consuming rule is followed without
+backtracking, and copy instances that add nothing new are skipped.  In
+nint/nintqc the copy rules neg_l, imp_l, lift, forall_l and exists_r
+consume their principal, so a rule may lose a proof: there the loop
+backtracks over the consuming instances too, keeps every copy instance,
+and applies no eigen block, whose soundness argument needs invertibility.
+Every calculus backtracks over the copy instances.
 
 Two things bound a branch.  The depth bound is a budget spent only by the
-rules that can repeat on a branch: the copy rules, which keep their
-principal formula, and the world-creating rules (imp_r, neg_r, forall_r).
-The consuming rules replace their principal by smaller formulas, so only
-finitely many of them fit between two charged steps, and they are free.
-With loop_check (the default), the eigen block (`_fire_eigen`) stops a
-world-creating rule from re-creating a world that the branch has already
-created, and a labelled sequent equal to an ancestor up to label renaming
-is pruned.
-
-In the original Fitting calculi (nint / nintqc) the copy-free left rules
-discard information, so there the engine backtracks over alternatives and
-applies no eigen block.
+rules that can repeat on a branch: the copy rules and the world-creating
+rules.  The consuming rules replace their principal by smaller formulas,
+so only finitely many of them fit between two charged steps, and they are
+free.  With loop_check (the default), the eigen block (`_fire_eigen`)
+stops a world-creating rule from re-creating a world that the branch has
+already created.
 
 `decide_prop` looks for a small rooted countermodel first
 (`kripke.rooted_countermodel`) and runs proof search only when there is
@@ -63,14 +78,18 @@ from .labelled import (
     Rule,
     SequentError,
     Witness,
+    _candidate_witnesses,
     check_derivation,
     premises_for,
 )
 from .nested import (
     NESTED_CALCULI,
+    RULE_TO_NESTED,
     NRule,
+    NWitness,
     NestedDerivation,
     NestedSequent,
+    _nested_candidates,
     check_nested_derivation,
     nested_premises_for,
 )
@@ -82,7 +101,6 @@ class SearchConfig:
     depth_bound: int = 12
     loop_check: bool = True
     parameter_budget: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.depth_bound < 1:
@@ -113,11 +131,11 @@ def prove(goal, cfg: SearchConfig) -> Optional[Derivation]:
     if isinstance(goal, LabelledSequent):
         if cfg.calculus not in CALCULI:
             raise SequentError(f"unknown calculus {cfg.calculus!r}")
-        return _LabelledProver(cfg).search(goal, cfg.depth_bound, ())
+        return _Labelled(cfg).search(goal)
     if isinstance(goal, NestedSequent):
         if cfg.calculus not in NESTED_CALCULI:
             raise SequentError(f"unknown nested calculus {cfg.calculus!r}")
-        return _NestedProver(cfg).search(goal, cfg.depth_bound, (), 0)
+        return _Nested(cfg).search(goal)
     raise SequentError(f"goal must be a labelled or nested sequent, got {goal!r}")
 
 
@@ -245,18 +263,145 @@ def _renaming_equal(s1: LabelledSequent, s2: LabelledSequent) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# labelled prover
+# the search kernel
 
+# The rule groups, in the order the search tries them.  They are written
+# once, over the labelled rules; a nested calculus searches with their
+# images under RULE_TO_NESTED, so it has no relational saturation and its
+# forall_r, the image of forall_r_star, creates no world.
 _CLOSERS = (Rule.BOT_L, Rule.ID, Rule.ID_Q, Rule.ID_STAR, Rule.ID_Q_STAR)
-_CONSUME_SIMPLE = (Rule.AND_L, Rule.OR_R)
-_CONSUME_BRANCH = (Rule.AND_R, Rule.OR_L)
-_CONSUME_EIGEN = (Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R, Rule.FORALL_R_STAR,
-                  Rule.EXISTS_L)
+_SATURATE = (Rule.REF, Rule.TRA, Rule.ND, Rule.CD)
+_CONSUME = (Rule.AND_L, Rule.OR_R, Rule.AND_R, Rule.OR_L, Rule.IMP_R, Rule.NEG_R,
+            Rule.FORALL_R, Rule.FORALL_R_STAR, Rule.EXISTS_L)
 _CREATES_WORLD = frozenset({Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R})
-_SATURATE_REL = (Rule.REF, Rule.TRA, Rule.ND, Rule.CD)
 _COPY = (Rule.NEG_L, Rule.LIFT, Rule.FORALL_L, Rule.FORALL_L_STAR,
          Rule.EXISTS_R, Rule.EXISTS_R_STAR, Rule.IMP_L, Rule.IMP_L_STAR)
 
+
+def _nested_group(group) -> tuple:
+    return tuple(dict.fromkeys(RULE_TO_NESTED[r] for r in group if r in RULE_TO_NESTED))
+
+
+class _Search:
+    """The one backward search loop; a notation subclass supplies its rule
+    groups (CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD), its instance
+    enumeration (`_instances`), the content the eigen block records
+    (`_eigen`) and the derivation node (`_node`), and may refine the hooks
+    `_pruned`, `_copy_order` and `_fresh_cost`.
+
+    Proved sequents are cached; failed sequents are cached only when no
+    ancestor-loop prune fired below them (pure failures), keyed by the
+    sequent and the eigen-block records, with the largest budget that
+    failed.
+    """
+
+    def __init__(self, cfg: SearchConfig, rules):
+        def pick(group):
+            return tuple(r for r in group if r in rules)
+
+        self.cfg = cfg
+        # every rule is invertible but in Fitting's original nint/nintqc,
+        # whose copy rules consume their principal formula
+        self.invertible = cfg.calculus not in ("nint", "nintqc")
+        self.block = self.invertible and cfg.loop_check
+        self.closers = pick(self.CLOSERS)
+        # (rules, novel): with novel, only instances that add something new
+        self.phases = ((pick(self.SATURATE), True), (pick(self.CONSUME), False))
+        self.copies = pick(self.COPY)
+        self.proved: dict = {}
+        self.failed: dict = {}
+
+    def search(self, goal) -> Optional[Derivation]:
+        out, _pure = self._search(
+            goal, self.cfg.depth_bound, (), frozenset(), frozenset(), 0
+        )
+        return out
+
+    # hooks with a default
+    def _pruned(self, s, history) -> bool:
+        return False
+
+    def _copy_order(self, s):
+        return lambda cands: cands
+
+    def _fresh_cost(self, s, rule, w) -> int:
+        return 0
+
+    def _search(self, s, budget: int, history, hset, records, fresh: int):
+        hit = self.proved.get(s)
+        if hit is not None:
+            return hit, True
+        if self.failed.get((s, records), -1) >= budget:
+            return None, True
+        for rule in self.closers:
+            for hole, _prem, w in self._instances(rule, s, fresh, None):
+                d = self._node(s, rule, hole, (), w)
+                self.proved[s] = d
+                return d, True
+        if s in hset or self._pruned(s, history):
+            return None, False
+        hist = history + (s,)
+        hs = hset | {s}
+
+        def attempt(rule, hole, prem, w, cost, recs, more_fresh):
+            subs = []
+            for p in prem:
+                sub, pure = self._search(
+                    p, budget - cost, hist, hs, recs, fresh + more_fresh
+                )
+                if sub is None:
+                    return None, pure
+                subs.append(sub)
+            return self._node(s, rule, hole, tuple(subs), w), True
+
+        def settle(d, pure):
+            if d is not None:
+                self.proved[s] = d
+            elif pure:
+                key = (s, records)
+                self.failed[key] = max(self.failed.get(key, -1), budget)
+            return d, pure
+
+        # only in the invertible calculi can an instance that adds nothing
+        # new be skipped
+        novel = self._novelty(s) if self.invertible else None
+        all_pure = True
+        for group, filtered in self.phases:
+            for rule in group:
+                cost = 1 if rule in self.CREATES_WORLD else 0
+                if cost > budget:
+                    continue
+                for hole, prem, w in self._instances(
+                    rule, s, fresh, novel if filtered else None
+                ):
+                    recs = records
+                    if cost and self.block:
+                        recs = _fire_eigen(records, *self._eigen(s, hole, w))
+                        if recs is None:
+                            continue
+                    got, pure = attempt(rule, hole, prem, w, cost, recs, 0)
+                    if got is not None or self.invertible:
+                        # invertible: the premises are provable or nothing is
+                        return settle(got, pure)
+                    all_pure = all_pure and pure
+        if budget <= 0:
+            return settle(None, all_pure)
+
+        # copy rules: backtrack over instantiation choices
+        order = self._copy_order(s)
+        for rule in self.copies:
+            for hole, prem, w in order(self._instances(rule, s, fresh, novel)):
+                got, pure = attempt(
+                    rule, hole, prem, w, 1, records, self._fresh_cost(s, rule, w)
+                )
+                if got is not None:
+                    return settle(got, True)
+                all_pure = all_pure and pure
+        return settle(None, all_pure)
+
+
+# ---------------------------------------------------------------------------
+# the labelled notation
 
 class _Contents:
     """Lookup sets of one labelled sequent, for the novelty test."""
@@ -342,28 +487,21 @@ def _holds_at(s: LabelledSequent, v: Label) -> frozenset:
     return frozenset(f for (w, f) in s.ante if w in below)
 
 
-class _LabelledProver:
-    """Deterministic backward search.
+class _Labelled(_Search):
+    """Search over labelled sequents.  Instances have no hole (None)."""
 
-    Every rule of these calculi is invertible, so the first applicable
-    instance is followed without backtracking over alternatives.  Proved
-    sequents are cached; failed sequents are cached only when no
-    ancestor-loop prune fired below them (pure failures), keyed by the
-    sequent and the eigen-block records, with the largest budget that
-    failed.
-    """
+    CLOSERS, SATURATE, CONSUME, COPY = _CLOSERS, _SATURATE, _CONSUME, _COPY
+    CREATES_WORLD = _CREATES_WORLD
 
     def __init__(self, cfg: SearchConfig):
-        self.cfg = cfg
-        self.rules = CALCULI[cfg.calculus]
-        self.proved: dict[LabelledSequent, LabelledDerivation] = {}
-        self.failed: dict[tuple[LabelledSequent, frozenset], int] = {}
+        super().__init__(cfg, CALCULI[cfg.calculus])
 
-    def _instances(self, rule: Rule, s: LabelledSequent, novel: _Contents | None = None):
-        """(premises, witness) of each instance; with `novel`, only the
-        instances that add something new (`_adds_new`)."""
-        from .labelled import _candidate_witnesses
+    def _novelty(self, s: LabelledSequent) -> _Contents:
+        return _Contents(s)
 
+    def _instances(self, rule: Rule, s: LabelledSequent, fresh, novel):
+        """(None, premises, witness) of each instance; with `novel`, only
+        the instances that add something new (`_adds_new`)."""
         for w in _candidate_witnesses(rule, s):
             if novel is not None and not _adds_new(rule, w, novel):
                 continue
@@ -371,113 +509,29 @@ class _LabelledProver:
                 prem = premises_for(rule, s, w)
             except SequentError:
                 continue
-            yield prem, w
+            yield None, prem, w
 
-    def search(self, s, budget: int, history) -> Optional[LabelledDerivation]:
-        out, _pure = self._search(
-            s, budget, history, frozenset(history), frozenset()
-        )
-        return out
+    def _eigen(self, s: LabelledSequent, hole, w: Witness):
+        (v, f) = w.principal
+        return f, _holds_at(s, v)
 
-    def _search(
-        self, s: LabelledSequent, budget: int, history, hset, records
-    ) -> tuple[Optional[LabelledDerivation], bool]:
-        hit = self.proved.get(s)
-        if hit is not None:
-            return hit, True
-        if self.failed.get((s, records), -1) >= budget:
-            return None, True
-        for rule in _CLOSERS:
-            if rule not in self.rules:
-                continue
-            for prem, w in self._instances(rule, s):
-                d = LabelledDerivation(s, rule, (), w)
-                self.proved[s] = d
-                return d, True
-        if s in hset:
-            return None, False
-        if self.cfg.loop_check and any(_renaming_equal(s, h) for h in history):
-            return None, False
-        hist = history + (s,)
-        hs = hset | {s}
+    def _node(self, s, rule, hole, subs, w) -> LabelledDerivation:
+        return LabelledDerivation(s, rule, subs, w)
 
-        def attempt(rule, prem, w, cost, recs):
-            subs = []
-            for p in prem:
-                sub, pure = self._search(p, budget - cost, hist, hs, recs)
-                if sub is None:
-                    return None, pure
-                subs.append(sub)
-            return LabelledDerivation(s, rule, tuple(subs), w), True
+    def _pruned(self, s: LabelledSequent, history) -> bool:
+        # equal to an ancestor up to label renaming
+        return self.cfg.loop_check and any(_renaming_equal(s, h) for h in history)
 
-        def settle(d, pure):
-            if d is not None:
-                self.proved[s] = d
-            elif pure:
-                key = (s, records)
-                self.failed[key] = max(self.failed.get(key, -1), budget)
-            return d, pure
-
-        # relational saturation: free and deterministic
-        contents = _Contents(s)
-        for rule in _SATURATE_REL:
-            if rule not in self.rules:
-                continue
-            for prem, w in self._instances(rule, s, contents):
-                return settle(*attempt(rule, prem, w, 0, records))
-
-        # invertible decomposition: deterministic, no alternatives
-        for rule in _CONSUME_SIMPLE + _CONSUME_BRANCH:
-            if rule not in self.rules:
-                continue
-            for prem, w in self._instances(rule, s):
-                return settle(*attempt(rule, prem, w, 0, records))
-
-        for rule in _CONSUME_EIGEN:
-            if rule not in self.rules:
-                continue
-            cost = 1 if rule in _CREATES_WORLD else 0
-            if cost > budget:
-                continue
-            for prem, w in self._instances(rule, s):
-                recs = records
-                if cost and self.cfg.loop_check:
-                    (v, f) = w.principal
-                    recs = _fire_eigen(records, f, _holds_at(s, v))
-                    if recs is None:
-                        continue
-                return settle(*attempt(rule, prem, w, cost, recs))
-
-        if budget <= 0:
-            return settle(None, True)
-
-        # copy rules: backtrack over instantiation choices, trying targets
-        # deep in the relational order first
+    def _copy_order(self, s: LabelledSequent):
+        # targets deep in the relational order first
         depth = _label_depths(s)
-        all_pure = True
-        for rule in _COPY:
-            if rule not in self.rules:
-                continue
-            cands = list(self._instances(rule, s, contents))
-            cands.sort(key=lambda c: -depth.get(_copy_target(c[1]), 0))
-            for prem, w in cands:
-                got, pure = attempt(rule, prem, w, 1, records)
-                if got is not None:
-                    return settle(got, True)
-                all_pure = all_pure and pure
-        return settle(None, all_pure)
+        return lambda cands: sorted(
+            cands, key=lambda c: -depth.get(_copy_target(c[2]), 0)
+        )
 
 
 # ---------------------------------------------------------------------------
-# nested prover
-
-_N_CLOSERS = (NRule.ID, NRule.ID_Q)
-_N_CONSUME_SIMPLE = (NRule.AND_L, NRule.OR_R)
-_N_CONSUME_BRANCH = (NRule.AND_R, NRule.OR_L)
-_N_CONSUME_EIGEN = (NRule.IMP_R, NRule.NEG_R, NRule.FORALL_R, NRule.EXISTS_L)
-_N_CREATES_WORLD = frozenset({NRule.IMP_R, NRule.NEG_R})
-_N_COPY = (NRule.NEG_L, NRule.LIFT, NRule.FORALL_L, NRule.EXISTS_R, NRule.IMP_L)
-
+# the nested notation
 
 def _n_adds_new(rule: NRule, node: NestedSequent, w) -> bool:
     """Every premise of the copy instance at `node` adds a formula that is
@@ -497,125 +551,52 @@ def _n_adds_new(rule: NRule, node: NestedSequent, w) -> bool:
     return not _present(inst, node.succ, False)  # exists_r
 
 
-class _NestedProver:
-    """Backward search on nested sequents.
+_INSTANTIATE = (NRule.FORALL_L, NRule.EXISTS_R)
 
-    In the star calculi every rule is invertible, so the first applicable
-    instance is followed without backtracking; in nint/nintqc the engine
-    backtracks over alternatives.  Caching as in the labelled prover.
-    """
+
+class _Nested(_Search):
+    """Search over nested sequents.  An instance sits at a hole, and the
+    instantiating rules may bring in at most parameter_budget fresh
+    parameters along a branch (`fresh` counts them)."""
+
+    CLOSERS, SATURATE, CONSUME, COPY = (
+        _nested_group(g) for g in (_CLOSERS, _SATURATE, _CONSUME, _COPY)
+    )
+    CREATES_WORLD = frozenset(_nested_group(_CREATES_WORLD))
 
     def __init__(self, cfg: SearchConfig):
-        self.cfg = cfg
-        self.calc = cfg.calculus
-        self.rules = NESTED_CALCULI[self.calc]
-        self.star = self.calc.endswith("-star")
-        self.proved: dict[NestedSequent, NestedDerivation] = {}
-        self.failed: dict[tuple[NestedSequent, frozenset], int] = {}
+        super().__init__(cfg, NESTED_CALCULI[cfg.calculus])
 
-    def _instances(self, rule: NRule, s: NestedSequent, fresh_used: int,
-                   novel: bool = False):
+    def _novelty(self, s: NestedSequent) -> bool:
+        return True  # `_n_adds_new` reads the hole's node
+
+    def _instances(self, rule: NRule, s: NestedSequent, fresh: int, novel):
         """(hole, premises, witness) of each instance; with `novel`, only
         the instances that add something new (`_n_adds_new`)."""
-        from .nested import _nested_candidates
-
-        budget_left = self.cfg.parameter_budget - fresh_used
+        budget_left = self.cfg.parameter_budget - fresh
         for hole in s.holes():
             node = s.at(hole)
             for w in _nested_candidates(rule, s, node):
-                if rule in (NRule.FORALL_L, NRule.EXISTS_R):
+                if rule in _INSTANTIATE:
                     is_fresh = w.param not in s.params()
                     if is_fresh and budget_left <= 0:
                         continue
                 if novel and not _n_adds_new(rule, node, w):
                     continue
                 try:
-                    prem = nested_premises_for(self.calc, rule, s, hole, w)
+                    prem = nested_premises_for(self.cfg.calculus, rule, s, hole, w)
                 except SequentError:
                     continue
                 yield hole, prem, w
 
-    def search(self, s, budget, history, fresh_used):
-        out, _pure = self._search(
-            s, budget, tuple(history), frozenset(history), frozenset(), fresh_used
-        )
-        return out
+    def _eigen(self, s: NestedSequent, hole, w: NWitness):
+        return w.formula, frozenset(s.at(hole).ante)
 
-    def _search(
-        self, s: NestedSequent, budget: int, history, hset, records, fresh_used: int
-    ) -> tuple[Optional[NestedDerivation], bool]:
-        hit = self.proved.get(s)
-        if hit is not None:
-            return hit, True
-        if self.failed.get((s, records), -1) >= budget:
-            return None, True
-        for rule in _N_CLOSERS:
-            if rule not in self.rules:
-                continue
-            for hole, prem, w in self._instances(rule, s, fresh_used):
-                d = NestedDerivation(s, rule, hole, (), w)
-                self.proved[s] = d
-                return d, True
-        if s in hset:
-            return None, False
-        hist = history + (s,)
-        hs = hset | {s}
+    def _node(self, s, rule, hole, subs, w) -> NestedDerivation:
+        return NestedDerivation(s, rule, hole, subs, w)
 
-        def attempt(rule, hole, prem, w, cost, recs, extra_fresh=0):
-            subs = []
-            for p in prem:
-                sub, pure = self._search(
-                    p, budget - cost, hist, hs, recs, fresh_used + extra_fresh
-                )
-                if sub is None:
-                    return None, pure
-                subs.append(sub)
-            return NestedDerivation(s, rule, hole, tuple(subs), w), True
-
-        def settle(d, pure):
-            if d is not None:
-                self.proved[s] = d
-            elif pure:
-                key = (s, records)
-                self.failed[key] = max(self.failed.get(key, -1), budget)
-            return d, pure
-
-        block = self.star and self.cfg.loop_check
-        all_pure = True
-        for rule in _N_CONSUME_SIMPLE + _N_CONSUME_BRANCH + _N_CONSUME_EIGEN:
-            if rule not in self.rules:
-                continue
-            cost = 1 if rule in _N_CREATES_WORLD else 0
-            if cost > budget:
-                continue
-            for hole, prem, w in self._instances(rule, s, fresh_used):
-                recs = records
-                if cost and block:
-                    recs = _fire_eigen(records, w.formula, frozenset(s.at(hole).ante))
-                    if recs is None:
-                        continue
-                got, pure = attempt(rule, hole, prem, w, cost, recs)
-                if got is not None:
-                    return settle(got, True)
-                if self.star:
-                    # invertible: the premises are provable or nothing is
-                    return settle(None, pure)
-                all_pure = all_pure and pure
-        if budget <= 0:
-            return settle(None, all_pure)
-        for rule in _N_COPY:
-            if rule not in self.rules:
-                continue
-            for hole, prem, w in self._instances(rule, s, fresh_used, self.star):
-                fresh = 0
-                if rule in (NRule.FORALL_L, NRule.EXISTS_R):
-                    fresh = int(w.param not in s.params())
-                got, pure = attempt(rule, hole, prem, w, 1, records, fresh)
-                if got is not None:
-                    return settle(got, True)
-                all_pure = all_pure and pure
-        return settle(None, all_pure)
-
+    def _fresh_cost(self, s: NestedSequent, rule: NRule, w: NWitness) -> int:
+        return int(rule in _INSTANTIATE and w.param not in s.params())
 
 # ---------------------------------------------------------------------------
 # countermodels and the decision procedure

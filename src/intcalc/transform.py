@@ -54,7 +54,7 @@ from .labelled import (
     substitute_sequent,
 )
 from .nested import (
-    NRule,
+    RULE_TO_NESTED,
     NWitness,
     NestedDerivation,
     check_nested_derivation,
@@ -627,29 +627,58 @@ def _replace_at(d: LabelledDerivation, path, new: LabelledDerivation, calc: str)
     return _mk(calc, d.rule, d.conclusion, tuple(prem), d.witness)
 
 
-def eliminate_ref(d: LabelledDerivation, calc: str, trace=None) -> LabelledDerivation:
-    """Removes every ref inference; input must be tra-free above each ref."""
+def _eliminate(d: LabelledDerivation, calc: str, rules: tuple, steps=None) -> LabelledDerivation:
+    """Rewrites the topmost occurrence of `rules` until none is left.
+
+    Each step replaces the subproof at the occurrence by one without it
+    (`_ref_step`, `_tra_step`, `_nd_step`) and appends its note, if any, to
+    `steps`.  The number of occurrences must fall with every step; it is
+    counted on the replaced subtree, since `_replace_at` rebuilds the path
+    to it with the same rules.
+    """
     _no_tags(d)
-    trace = trace if trace is not None else []
+    kind = "/".join(r.value for r in rules)
     while True:
-        path = _find_topmost(d, {Rule.REF})
+        path = _find_topmost(d, rules)
         if path is None:
             return d
         node = _node_at(d, path)
-        z = node.witness.label
-        before = sum(1 for n in d.nodes() if n.rule is Rule.REF)
-        new_sub = _ref_step(node.premises[0], RelAtom(z, z), calc, trace)
+        new_sub, note = _step(node, calc)
         if new_sub.conclusion != node.conclusion:
-            raise TransformError("ref elimination changed the sequent")
+            raise TransformError(f"{kind} elimination changed the sequent")
+        if _count(new_sub, rules) >= _count(node, rules):
+            raise TransformError(f"{kind} elimination failed to decrease the measure")
         d = _replace_at(d, path, new_sub, calc)
-        after = sum(1 for n in d.nodes() if n.rule is Rule.REF)
-        if after >= before:
-            raise TransformError("ref elimination failed to decrease the measure")
+        if steps is not None and note is not None:
+            steps.append(note)
 
 
-def _ref_step(
-    P: LabelledDerivation, zz: RelAtom, calc: str, trace: list
-) -> LabelledDerivation:
+def _count(d: LabelledDerivation, rules) -> int:
+    return sum(1 for n in d.nodes() if n.rule in rules)
+
+
+def _step(node: LabelledDerivation, calc: str):
+    """(proof of node's conclusion without its own ref/tra/nd/cd inference,
+    the note for the report or None)."""
+    w = node.witness
+    P = node.premises[0]
+    if node.rule is Rule.REF:
+        z = w.label
+        return _ref_step(P, RelAtom(z, z), calc), f"ref at {z} rewritten"
+    if node.rule is Rule.TRA:
+        r1, r2 = w.rel, w.rel2
+        return (_tra_step(P, RelAtom(r1.w, r2.v), r1, r2, calc),
+                f"tra {r1!r} ; {r2!r} rewritten")
+    removed = DomAtom(w.dom.a, w.rel.v if node.rule is Rule.ND else w.rel.w)
+    return _nd_step(P, removed, w.rel, w.dom, calc), None
+
+
+def eliminate_ref(d: LabelledDerivation, calc: str) -> LabelledDerivation:
+    """Removes every ref inference; input must be tra-free above each ref."""
+    return _eliminate(d, calc, (Rule.REF,))
+
+
+def _ref_step(P: LabelledDerivation, zz: RelAtom, calc: str) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of the self-loop zz."""
     n = P
     w = n.witness
@@ -667,51 +696,35 @@ def _ref_step(
             return _mk(calc, leaf, target, (),
                        Witness(principal=w.principal, formula=w.formula))
         if n.rule is Rule.IMP_L:
-            p0 = _ref_step(n.premises[0], zz, calc, trace)
-            p1 = _ref_step(n.premises[1], zz, calc, trace)
+            p0 = _ref_step(n.premises[0], zz, calc)
+            p1 = _ref_step(n.premises[1], zz, calc)
             return _mk(calc, Rule.IMP_L_STAR, target, (p0, p1),
                        Witness(principal=w.principal))
         if n.rule is Rule.FORALL_L:
-            p = _ref_step(n.premises[0], zz, calc, trace)
+            p = _ref_step(n.premises[0], zz, calc)
             return _mk(calc, Rule.FORALL_L_STAR, target, (p,),
                        Witness(principal=w.principal, dom=w.dom))
         if n.rule is Rule.LIFT:
             # self-lift: the premise duplicates the principal formula
-            p = _ref_step(n.premises[0], zz, calc, trace)
+            p = _ref_step(n.premises[0], zz, calc)
             return contract_derivation(p, Rule.CTR_FL, w.principal, calc)
         if n.rule is Rule.ND or n.rule is Rule.CD:
             # w = v = z: the added atom duplicates the source atom
             dup = DomAtom(w.dom.a, zz.w)
             p = _contract_atom(n.premises[0], dup, calc)
-            return _ref_step(p, zz, calc, trace)
+            return _ref_step(p, zz, calc)
         if n.rule is Rule.TRA:
             raise TransformError("ref elimination hit a tra inference above it")
         raise TransformError(f"ref elimination: unhandled active case {n.rule.value}")
 
     # context: remove the loop atom everywhere above
-    prem = tuple(_ref_step(p, zz, calc, trace) for p in n.premises)
+    prem = tuple(_ref_step(p, zz, calc) for p in n.premises)
     return _mk(calc, n.rule, target, prem, w)
 
 
-def eliminate_tra(d: LabelledDerivation, calc: str, trace=None) -> LabelledDerivation:
+def eliminate_tra(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     """Removes every tra inference; input must be ref-free above each tra."""
-    _no_tags(d)
-    trace = trace if trace is not None else []
-    while True:
-        path = _find_topmost(d, {Rule.TRA})
-        if path is None:
-            return d
-        node = _node_at(d, path)
-        r1, r2 = node.witness.rel, node.witness.rel2
-        comp = RelAtom(r1.w, r2.v)
-        before = sum(1 for n in d.nodes() if n.rule is Rule.TRA)
-        new_sub = _tra_step(node.premises[0], comp, r1, r2, calc, trace)
-        if new_sub.conclusion != node.conclusion:
-            raise TransformError("tra elimination changed the sequent")
-        d = _replace_at(d, path, new_sub, calc)
-        after = sum(1 for n in d.nodes() if n.rule is Rule.TRA)
-        if after >= before:
-            raise TransformError("tra elimination failed to decrease the measure")
+    return _eliminate(d, calc, (Rule.TRA,))
 
 
 def _tra_step(
@@ -720,7 +733,6 @@ def _tra_step(
     r1: RelAtom,
     r2: RelAtom,
     calc: str,
-    trace: list,
 ) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of the composite w<=u,
     given that w<=v and v<=u remain present."""
@@ -761,8 +773,8 @@ def _tra_step(
             return cur
         if n.rule is Rule.IMP_L:
             (pw, pf) = w.principal
-            p0 = _tra_step(n.premises[0], comp, r1, r2, calc, trace)
-            p1 = _tra_step(n.premises[1], comp, r1, r2, calc, trace)
+            p0 = _tra_step(n.premises[0], comp, r1, r2, calc)
+            p1 = _tra_step(n.premises[1], comp, r1, r2, calc)
             add = dict(ante=[(vl, pf), (ul, pf)])
             p0 = weaken_derivation(p0, calc, **add)
             p1 = weaken_derivation(p1, calc, **add)
@@ -774,7 +786,7 @@ def _tra_step(
         if n.rule is Rule.FORALL_L:
             (pw, pf) = w.principal
             inst = substitute_param(pf.body, w.dom.a, pf.var)
-            p = _tra_step(n.premises[0], comp, r1, r2, calc, trace)
+            p = _tra_step(n.premises[0], comp, r1, r2, calc)
             p = weaken_derivation(p, calc, ante=[(vl, pf)])
             c_fl = target.add(ante=[(vl, pf)])
             fl = _mk(calc, Rule.FORALL_L, c_fl, (p,),
@@ -782,14 +794,14 @@ def _tra_step(
             return lift_down(fl, wl, vl, pf, r1)
         if n.rule is Rule.LIFT:
             (pw, pf) = w.principal
-            p = _tra_step(n.premises[0], comp, r1, r2, calc, trace)
+            p = _tra_step(n.premises[0], comp, r1, r2, calc)
             p = weaken_derivation(p, calc, ante=[(vl, pf)])
             c1 = p.conclusion.remove(ante=[(ul, pf)])
             step1 = _mk(calc, Rule.LIFT, c1, (p,), Witness(principal=(vl, pf), rel=r2))
             return lift_down(step1, wl, vl, pf, r1)
         if n.rule is Rule.ND:
             a = w.dom.a
-            p = _tra_step(n.premises[0], comp, r1, r2, calc, trace)
+            p = _tra_step(n.premises[0], comp, r1, r2, calc)
             p = weaken_derivation(p, calc, dom=[DomAtom(a, vl)])
             c1 = p.conclusion.remove(dom=[DomAtom(a, ul)])
             s1 = _mk(calc, Rule.ND, c1, (p,), Witness(rel=r2, dom=DomAtom(a, vl)))
@@ -797,7 +809,7 @@ def _tra_step(
             return _mk(calc, Rule.ND, c2, (s1,), Witness(rel=r1, dom=DomAtom(a, wl)))
         if n.rule is Rule.CD:
             a = w.dom.a
-            p = _tra_step(n.premises[0], comp, r1, r2, calc, trace)
+            p = _tra_step(n.premises[0], comp, r1, r2, calc)
             p = weaken_derivation(p, calc, dom=[DomAtom(a, vl)])
             c1 = p.conclusion.remove(dom=[DomAtom(a, wl)])
             s1 = _mk(calc, Rule.CD, c1, (p,), Witness(rel=r1, dom=DomAtom(a, vl)))
@@ -807,35 +819,15 @@ def _tra_step(
             f"tra elimination: unhandled active case {n.rule.value}"
         )
 
-    prem = tuple(_tra_step(p, comp, r1, r2, calc, trace) for p in n.premises)
+    prem = tuple(_tra_step(p, comp, r1, r2, calc) for p in n.premises)
     return _mk(calc, n.rule, target, prem, w)
 
 
-def eliminate_nd_cd(d: LabelledDerivation, calc: str, trace=None) -> LabelledDerivation:
+def eliminate_nd_cd(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     """Removes every nd and cd inference; input must be ref/tra-free."""
-    _no_tags(d)
-    trace = trace if trace is not None else []
-    for n in d.nodes():
-        if n.rule in (Rule.REF, Rule.TRA):
-            raise SequentError("eliminate nd/cd requires a ref/tra-free derivation")
-    while True:
-        path = _find_topmost(d, {Rule.ND, Rule.CD})
-        if path is None:
-            return d
-        node = _node_at(d, path)
-        kind = node.rule
-        rel, src = node.witness.rel, node.witness.dom
-        removed = (
-            DomAtom(src.a, rel.v) if kind is Rule.ND else DomAtom(src.a, rel.w)
-        )
-        before = sum(1 for n2 in d.nodes() if n2.rule in (Rule.ND, Rule.CD))
-        new_sub = _nd_step(node.premises[0], removed, rel, src, calc, trace)
-        if new_sub.conclusion != node.conclusion:
-            raise TransformError("nd/cd elimination changed the sequent")
-        d = _replace_at(d, path, new_sub, calc)
-        after = sum(1 for n2 in d.nodes() if n2.rule in (Rule.ND, Rule.CD))
-        if after >= before:
-            raise TransformError("nd/cd elimination failed to decrease the measure")
+    if any(n.rule in (Rule.REF, Rule.TRA) for n in d.nodes()):
+        raise SequentError("eliminate nd/cd requires a ref/tra-free derivation")
+    return _eliminate(d, calc, (Rule.ND, Rule.CD))
 
 
 def _nd_step(
@@ -844,7 +836,6 @@ def _nd_step(
     rel: RelAtom,
     src: DomAtom,
     calc: str,
-    trace: list,
 ) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of `removed`, given that the
     source domain atom and its relational atom remain present."""
@@ -874,7 +865,7 @@ def _nd_step(
         if n.rule is Rule.FORALL_L:
             (pw, pf) = w.principal
             inst = substitute_param(pf.body, removed.a, pf.var)
-            p = _nd_step(n.premises[0], removed, rel, src, calc, trace)
+            p = _nd_step(n.premises[0], removed, rel, src, calc)
             p = weaken_derivation(p, calc, ante=[(pw, inst)])
             c1 = p.conclusion.remove(ante=[(w.rel.v, inst)])
             s1 = _mk(calc, Rule.LIFT, c1, (p,),
@@ -883,22 +874,22 @@ def _nd_step(
             return _mk(calc, Rule.FORALL_L_STAR, c2, (s1,),
                        Witness(principal=w.principal, dom=src))
         if n.rule is Rule.FORALL_L_STAR:
-            p = _nd_step(n.premises[0], removed, rel, src, calc, trace)
+            p = _nd_step(n.premises[0], removed, rel, src, calc)
             return _mk(calc, Rule.FORALL_L_STAR, target, (p,),
                        Witness(principal=w.principal, dom=src))
         if n.rule is Rule.EXISTS_R:
-            p = _nd_step(n.premises[0], removed, rel, src, calc, trace)
+            p = _nd_step(n.premises[0], removed, rel, src, calc)
             return _mk(calc, Rule.EXISTS_R_STAR, target, (p,),
                        Witness(principal=w.principal, dom=src))
         if n.rule is Rule.EXISTS_R_STAR:
-            p = _nd_step(n.premises[0], removed, rel, src, calc, trace)
+            p = _nd_step(n.premises[0], removed, rel, src, calc)
             return _mk(calc, Rule.EXISTS_R_STAR, target, (p,),
                        Witness(principal=w.principal, dom=src))
         if n.rule in (Rule.ND, Rule.CD):
             raise TransformError("nd/cd elimination hit another nd/cd above it")
         raise TransformError(f"nd/cd elimination: unhandled active case {n.rule.value}")
 
-    prem = tuple(_nd_step(p, removed, rel, src, calc, trace) for p in n.premises)
+    prem = tuple(_nd_step(p, removed, rel, src, calc) for p in n.premises)
     return _mk(calc, n.rule, target, prem, w)
 
 
@@ -995,7 +986,7 @@ def expand_derived_rules(d: LabelledDerivation, calc: str) -> LabelledDerivation
             (wl, pf) = w.principal
             vl, a = w.label, w.param
             p = substitute_derivation(prem[0], "label", wl, vl, calc)
-            p = _ref_step(p, RelAtom(wl, wl), calc, [])
+            p = _ref_step(p, RelAtom(wl, wl), calc)
             return _mk(calc, Rule.FORALL_R_STAR, concl, (p,),
                        Witness(principal=w.principal, param=a))
         if n.rule is Rule.EXISTS_R:
@@ -1047,31 +1038,10 @@ def eliminate_structural(
 
     steps = report.steps
     # ref and tra interleave, so always rewrite the topmost of either
-    while True:
-        path = _find_topmost(d, {Rule.REF, Rule.TRA})
-        if path is None:
-            break
-        node = _node_at(d, path)
-        before = sum(1 for n in d.nodes() if n.rule in (Rule.REF, Rule.TRA))
-        if node.rule is Rule.REF:
-            z = node.witness.label
-            new_sub = _ref_step(node.premises[0], RelAtom(z, z), ambient, steps)
-            steps.append(f"ref at {z} rewritten")
-        else:
-            r1, r2 = node.witness.rel, node.witness.rel2
-            new_sub = _tra_step(
-                node.premises[0], RelAtom(r1.w, r2.v), r1, r2, ambient, steps
-            )
-            steps.append(f"tra {r1!r} ; {r2!r} rewritten")
-        if new_sub.conclusion != node.conclusion:
-            raise TransformError("structural elimination changed the sequent")
-        d = _replace_at(d, path, new_sub, ambient)
-        after = sum(1 for n in d.nodes() if n.rule in (Rule.REF, Rule.TRA))
-        if after >= before:
-            raise TransformError("ref/tra measure failed to decrease")
-    if any(n.rule in (Rule.ND, Rule.CD) for n in d.nodes()):
-        n_ndcd = sum(1 for n in d.nodes() if n.rule in (Rule.ND, Rule.CD))
-        d = eliminate_nd_cd(d, ambient, steps)
+    d = _eliminate(d, ambient, (Rule.REF, Rule.TRA), steps)
+    n_ndcd = _count(d, (Rule.ND, Rule.CD))
+    if n_ndcd:
+        d = _eliminate(d, ambient, (Rule.ND, Rule.CD))
         steps.append(f"nd/cd eliminated ({n_ndcd} inference(s))")
     d = expand_derived_rules(d, target)
     steps.append("derived rules expanded; signature converted to {~,&,|,->}")
@@ -1099,25 +1069,6 @@ def eliminate_structural(
 # ---------------------------------------------------------------------------
 # labelled-to-nested proof translation
 
-_RULE_TO_NESTED = {
-    Rule.ID_STAR: NRule.ID,
-    Rule.ID_Q_STAR: NRule.ID_Q,
-    Rule.AND_L: NRule.AND_L,
-    Rule.AND_R: NRule.AND_R,
-    Rule.OR_L: NRule.OR_L,
-    Rule.OR_R: NRule.OR_R,
-    Rule.NEG_L: NRule.NEG_L,
-    Rule.NEG_R: NRule.NEG_R,
-    Rule.IMP_L_STAR: NRule.IMP_L,
-    Rule.IMP_R: NRule.IMP_R,
-    Rule.LIFT: NRule.LIFT,
-    Rule.FORALL_L_STAR: NRule.FORALL_L,
-    Rule.FORALL_R_STAR: NRule.FORALL_R,
-    Rule.EXISTS_L: NRule.EXISTS_L,
-    Rule.EXISTS_R_STAR: NRule.EXISTS_R,
-}
-
-
 def proof_to_nested(d: LabelledDerivation, calc: str = "auto") -> NestedDerivation:
     """Node-wise nested translation of a treelike-rule-set derivation.
 
@@ -1133,7 +1084,7 @@ def proof_to_nested(d: LabelledDerivation, calc: str = "auto") -> NestedDerivati
         calc = "nintqc-star" if fo else "nint-star"
 
     def go(n: LabelledDerivation) -> NestedDerivation:
-        if n.rule not in _RULE_TO_NESTED:
+        if n.rule not in RULE_TO_NESTED:
             raise SequentError(
                 f"rule {n.rule.value} has no nested counterpart; "
                 "run eliminate_structural first"
@@ -1146,7 +1097,7 @@ def proof_to_nested(d: LabelledDerivation, calc: str = "auto") -> NestedDerivati
             )
         nested, paths = nestify_with_paths(n.conclusion)
         w = n.witness
-        nrule = _RULE_TO_NESTED[n.rule]
+        nrule = RULE_TO_NESTED[n.rule]
         if n.rule in (Rule.ID_STAR, Rule.ID_Q_STAR):
             hole = paths[w.principal[0]]
             nw = NWitness(formula=w.principal[1])

@@ -407,9 +407,58 @@ def _layer_formulas(max_k: int):
     return layers
 
 
+def _unrank(layers, n: int, idx: int):
+    """layers[n][idx], in the order `_layer_formulas` builds layer n, from
+    layers 0 to n-1 alone."""
+    below = layers[n - 1]
+    if idx < len(below):
+        return Neg(below[idx])
+    idx -= len(below)
+    for i in range(n):
+        left, right = layers[i], layers[n - 1 - i]
+        block = 3 * len(left) * len(right)
+        if idx < block:
+            a, rest = divmod(idx, 3 * len(right))
+            b, kind = divmod(rest, 3)
+            return (And, Or, Impl)[kind](left[a], right[b])
+        idx -= block
+    raise IndexError(idx)
+
+
+class _UnrankedLayer:
+    """Layer n of `_layer_formulas`, each formula built when it is indexed:
+    the strided pass over layer 5 needs 5,115 of its 10,243,830 formulas."""
+
+    def __init__(self, layers, n: int):
+        self.layers, self.n = layers, n
+        self.size = len(layers[n - 1]) + 3 * sum(
+            len(layers[i]) * len(layers[n - 1 - i]) for i in range(n))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [_unrank(self.layers, self.n, i)
+                    for i in range(*key.indices(self.size))]
+        return _unrank(self.layers, self.n, key)
+
+
+def test_unranked_layers_match_built_layers():
+    layers = _layer_formulas(4)
+    assert [len(layer) for layer in layers] == [3, 30, 570, 13530, 359670]
+    for n in range(1, 5):
+        unranked = _UnrankedLayer(layers, n)
+        assert len(unranked) == len(layers[n])
+        assert unranked[:] == layers[n]
+    assert len(_UnrankedLayer(layers, 5)) == 10243830
+
+
 def test_criterion_9_oracle_equivalence():
     full = os.environ.get("INTCALC_ORACLE_FULL") == "1"
-    layers = _layer_formulas(5)
+    layers = _layer_formulas(5 if full else 4)
+    if not full:
+        layers.append(_UnrankedLayer(layers, 5))
     cfg = SearchConfig("nint-star", 12)
     t0 = time.time()
 

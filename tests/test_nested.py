@@ -31,6 +31,18 @@ def test_text_roundtrip():
         assert parse_nested(show_nested(s)) == s
 
 
+@pytest.mark.parametrize("ante", [
+    "forall x. q -> r(x)",
+    "exists x. q -> r(x)",
+    "~forall x. q -> r(x)",
+    "p & forall x. q -> r(x)",
+])
+def test_quantified_antecedent_roundtrip(ante):
+    # a quantifier's scope runs to the end, so it would take in the arrow
+    s = NestedSequent((parse_formula(ante),), (Atom("q"),), ())
+    assert parse_nested(show_nested(s)) == s
+
+
 def test_children_compared_as_multiset():
     a = parse_nested("p -> q, [r -> ], [ -> s]")
     b = parse_nested("p -> q, [ -> s], [r -> ]")

@@ -1,15 +1,23 @@
 import pytest
 
+import intcalc.labelled
+import intcalc.search
 from intcalc.formula import convert_signature, parse_formula
 from intcalc.kripke import satisfies
 from intcalc.labelled import (
+    CALCULI,
     Label,
     LabelledSequent,
     SequentError,
     check_derivation,
     parse_sequent,
 )
-from intcalc.nested import NestedSequent, check_nested_derivation, parse_nested
+from intcalc.nested import (
+    NESTED_CALCULI,
+    NestedSequent,
+    check_nested_derivation,
+    parse_nested,
+)
 from intcalc.search import (
     SearchConfig,
     decide_prop,
@@ -205,3 +213,65 @@ def test_depth_bound_counts_only_repeatable_rules():
     d = prove(parse_sequent("w: p & (q & r), w: s | s => w: (r & q) & p, w: s & s"),
               SearchConfig("g3int", 1))
     assert d is not None and check_derivation("g3int", d)[0]
+
+
+# -- the one search kernel, in every calculus ---------------------------------
+
+THEOREMS = ["p -> p", "~~(p | ~p)", "(p -> q) -> (q -> r) -> p -> r", "false -> p",
+            "~~(~~p -> p)"]
+FO_THEOREMS = ["(forall x. q | r(x)) -> q | forall x. r(x)"]
+NON_THEOREMS = ["p | ~p", "((p -> q) -> p) -> p"]
+FIRST_ORDER = ("g3intqc", "intqcl", "intqcl-tree", "nintqc", "nintqc-star")
+FITTING = ("nint", "nintqc")  # neg_l and the other copy rules consume
+
+
+def calculus_goal(text, calc):
+    """The goal in the signature the calculus has rules for: no negation
+    rules in g3int/g3intqc, no bottom rule in the tree and nested ones."""
+    if calc in ("g3int", "g3intqc", "g3int-ext", "intqcl"):
+        return labelled_goal(text, calc)
+    f = convert_signature(parse_formula(text), "toNeg")
+    if calc in CALCULI:
+        return LabelledSequent(succ=((Label("w"), f),))
+    return NestedSequent(succ=(f,))
+
+
+def checks(calc, d):
+    check = check_derivation if calc in CALCULI else check_nested_derivation
+    return check(calc, d)[0]
+
+
+@pytest.mark.parametrize("calc", sorted(CALCULI) + sorted(NESTED_CALCULI))
+def test_prove_in_every_calculus(calc):
+    theorems = THEOREMS + (FO_THEOREMS if calc in FIRST_ORDER else [])
+    for text in theorems:
+        d = prove(calculus_goal(text, calc), SearchConfig(calc, 10))
+        if d is not None:
+            assert checks(calc, d), (calc, text)
+        if calc not in FITTING:
+            assert d is not None, (calc, text)
+    for text in NON_THEOREMS:
+        assert prove(calculus_goal(text, calc), SearchConfig(calc, 10)) is None, (calc, text)
+
+
+def test_trace_points_are_reached(monkeypatch):
+    # callers reach these through module attributes at call time, so a
+    # wrapper put there sees every call
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((intcalc.search, "premises_for"),
+                         (intcalc.search, "nested_premises_for"),
+                         (intcalc.labelled, "check_inference")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    d = prove(labelled_goal("p -> p"), SearchConfig("g3int", 6))
+    assert calls.get("premises_for", 0) > 0
+    assert prove(calculus_goal("p -> p", "nint-star"), SearchConfig("nint-star", 6))
+    assert calls.get("nested_premises_for", 0) > 0
+    assert check_derivation("g3int", d)[0]
+    assert calls.get("check_inference", 0) > 0

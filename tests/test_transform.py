@@ -12,6 +12,7 @@ from intcalc.labelled import (
     check_derivation,
     parse_sequent,
 )
+from intcalc.proofio import dump_proof, load_proof
 from intcalc.search import SearchConfig, prove
 from intcalc.transform import (
     contract_derivation,
@@ -320,6 +321,15 @@ def test_pipeline_to_nested():
     ok, _, msg = check_nested_derivation("nint-star", nd)
     assert ok, msg
     assert nd.conclusion == parse_nested(" -> p -> q -> p")
+
+
+def test_nested_proof_with_quantified_antecedent_roundtrips():
+    # a universal with an implication body lands in a nested antecedent
+    d = prove_g3("(forall x. q -> r(x)) -> (q -> forall x. r(x))", 14, "g3intqc")
+    out, _ = eliminate_structural(d, "g3intqc")
+    nd = proof_to_nested(out)
+    back, _kind, calc = load_proof(dump_proof(nd, "nintqc-star"))
+    assert calc == "nintqc-star" and back == nd
 
 
 def test_pipeline_non_theorem_shape_warns():
