@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calc", default="g3int",
                    choices=sorted(CALCULI) + sorted(NESTED_CALCULI))
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--parameter-budget", type=int, default=1)
+    p.add_argument("--parameter-budget", type=int, default=1,
+                   help="fresh parameters a branch may bring in; read only by "
+                        "the nested calculi (nint, nintqc and their star forms)")
     p.add_argument("--no-loop-check", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_prove)

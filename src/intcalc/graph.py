@@ -130,10 +130,11 @@ def is_treelike(s: LabelledSequent) -> tuple[bool, TreelikeViolation | None]:
 
 
 def tree_root(s: LabelledSequent) -> Label | None:
-    ok, _ = is_treelike(s)
-    if not ok:
-        return None
+    """The root of a treelike sequent; None if it has no labels or is not
+    treelike."""
     g = graph_of_labelled(s)
+    if treelike_violation(g) is not None:
+        return None
     indeg = {v: 0 for v in g.vertices}
     for (_, b) in g.edges:
         indeg[b] += 1

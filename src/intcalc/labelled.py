@@ -420,6 +420,21 @@ DERIVED = frozenset(
      Rule.EXISTS_R}
 )
 
+# The classes of the logical rules, as the schemas in `premises_for` define
+# them.  A consuming rule replaces its principal formula, which sits on the
+# side given, by smaller pieces; a copy rule keeps its principal.  Both are
+# listed in the order proof search tries them.  The eigen rules take a fresh
+# label or parameter from their witness.
+CONSUMES = {
+    Rule.AND_L: "ante", Rule.OR_R: "succ", Rule.AND_R: "succ", Rule.OR_L: "ante",
+    Rule.IMP_R: "succ", Rule.NEG_R: "succ", Rule.FORALL_R: "succ",
+    Rule.FORALL_R_STAR: "succ", Rule.EXISTS_L: "ante",
+}
+COPIES = (Rule.NEG_L, Rule.LIFT, Rule.FORALL_L, Rule.FORALL_L_STAR,
+          Rule.EXISTS_R, Rule.EXISTS_R_STAR, Rule.IMP_L, Rule.IMP_L_STAR)
+EIGEN_LABEL = frozenset({Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R})
+EIGEN_PARAM = frozenset({Rule.FORALL_R, Rule.FORALL_R_STAR, Rule.EXISTS_L})
+
 
 @dataclass(frozen=True)
 class Witness:

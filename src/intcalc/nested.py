@@ -309,10 +309,19 @@ RULE_TO_NESTED = {
 }
 
 
-def _starred(calc: str) -> bool:
-    if calc not in NESTED_CALCULI:
-        raise SequentError(f"unknown nested calculus {calc!r}")
-    return calc.endswith("-star")
+def _nested_rules(calc: str) -> frozenset[NRule]:
+    try:
+        return NESTED_CALCULI[calc]
+    except KeyError:
+        raise SequentError(f"unknown nested calculus {calc!r}") from None
+
+
+# Fitting's nint/nintqc are the starred calculi in which these copy rules
+# also consume their principal formula, from the side given.
+_FITTING_CONSUMES = {
+    NRule.NEG_L: "ante", NRule.IMP_L: "ante", NRule.LIFT: "ante",
+    NRule.FORALL_L: "ante", NRule.EXISTS_R: "succ",
+}
 
 
 @dataclass(frozen=True)
@@ -354,11 +363,14 @@ def nested_premises_for(
     calc: str, rule: NRule, conclusion: NestedSequent, hole: Sequence[int], w: NWitness
 ) -> tuple[NestedSequent, ...]:
     """Premises demanded by the rule at the hole; context unchanged."""
-    star = _starred(calc)
+    _nested_rules(calc)  # rejects an unknown calculus
+    consume = None if calc.endswith("-star") else _FITTING_CONSUMES.get(rule)
     node = conclusion.at(hole)
     f = w.formula
 
     def up(new_node: NestedSequent) -> NestedSequent:
+        if consume is not None:
+            new_node = edit(new_node, **{"drop_" + consume: [f]})
         return conclusion.replace_at(hole, new_node)
 
     if rule in (NRule.ID, NRule.ID_Q):
@@ -398,9 +410,7 @@ def nested_premises_for(
     if rule is NRule.NEG_L:
         _need(isinstance(f, Neg), "neg_l: principal must be a negation")
         _need(f in node.ante, "neg_l: principal not present")
-        if star:
-            return (up(edit(node, add_succ=[f.body])),)
-        return (up(edit(node, drop_ante=[f], add_succ=[f.body])),)
+        return (up(edit(node, add_succ=[f.body])),)
     if rule is NRule.IMP_R:
         _need(isinstance(f, Impl), "imp_r: principal must be an implication")
         _need(f in node.succ, "imp_r: principal not present")
@@ -409,14 +419,9 @@ def nested_premises_for(
     if rule is NRule.IMP_L:
         _need(isinstance(f, Impl), "imp_l: principal must be an implication")
         _need(f in node.ante, "imp_l: principal not present")
-        if star:
-            return (
-                up(edit(node, add_succ=[f.left])),
-                up(edit(node, add_ante=[f.right])),
-            )
         return (
-            up(edit(node, drop_ante=[f], add_succ=[f.left])),
-            up(edit(node, drop_ante=[f], add_ante=[f.right])),
+            up(edit(node, add_succ=[f.left])),
+            up(edit(node, add_ante=[f.right])),
         )
     if rule is NRule.LIFT:
         _need(f is not None and f in node.ante, "lift: principal not present")
@@ -426,13 +431,7 @@ def nested_premises_for(
         new_kid = NestedSequent(kid.ante + (f,), kid.succ, kid.children)
         kids = list(node.children)
         kids[w.child] = new_kid
-        if star:
-            new_node = NestedSequent(node.ante, node.succ, tuple(kids))
-        else:
-            new_node = NestedSequent(
-                _remove(node.ante, [f]), node.succ, tuple(kids)
-            )
-        return (up(new_node),)
+        return (up(NestedSequent(node.ante, node.succ, tuple(kids))),)
     if rule is NRule.FORALL_R:
         _need(isinstance(f, Forall), "forall_r: principal must be universal")
         _need(f in node.succ, "forall_r: principal not present")
@@ -454,17 +453,13 @@ def nested_premises_for(
         _need(f in node.ante, "forall_l: principal not present")
         _need(w.param is not None, "forall_l needs an instantiating parameter")
         inst = substitute_param(f.body, w.param, f.var)
-        if star:
-            return (up(edit(node, add_ante=[inst])),)
-        return (up(edit(node, drop_ante=[f], add_ante=[inst])),)
+        return (up(edit(node, add_ante=[inst])),)
     if rule is NRule.EXISTS_R:
         _need(isinstance(f, Exists), "exists_r: principal must be existential")
         _need(f in node.succ, "exists_r: principal not present")
         _need(w.param is not None, "exists_r needs an instantiating parameter")
         inst = substitute_param(f.body, w.param, f.var)
-        if star:
-            return (up(edit(node, add_succ=[inst])),)
-        return (up(edit(node, drop_succ=[f], add_succ=[inst])),)
+        return (up(edit(node, add_succ=[inst])),)
     raise SequentError(f"nested_premises_for does not handle {rule.value}")
 
 
@@ -477,11 +472,8 @@ def check_nested_inference(
     witness: NWitness,
 ) -> tuple[bool, str]:
     try:
-        if rule not in NESTED_CALCULI[calc]:
+        if rule not in _nested_rules(calc):
             return False, f"rule {rule.value} not in calculus {calc}"
-    except KeyError:
-        return False, f"unknown nested calculus {calc!r}"
-    try:
         want = nested_premises_for(calc, rule, conclusion, tuple(hole), witness)
     except SequentError as e:
         return False, str(e)
@@ -508,7 +500,7 @@ def apply_nested_backward(
     calc: str, rule: NRule, goal: NestedSequent
 ) -> list[tuple[tuple[int, ...], tuple[NestedSequent, ...], NWitness]]:
     """All (hole, premises, witness) candidates; each re-checks."""
-    if rule not in NESTED_CALCULI[calc]:
+    if rule not in _nested_rules(calc):
         return []
     out = []
     for hole in goal.holes():

@@ -91,6 +91,23 @@ def witness_from_json(data: dict) -> Witness:
     )
 
 
+def _check_node(data, witness_ints=()) -> None:
+    """Raises SequentError unless data has the shape of a proof node; the
+    witness fields are strings, those named in witness_ints integers."""
+    if not isinstance(data, dict):
+        raise SequentError("proof node is not a JSON object")
+    for key in ("sequent", "rule"):
+        if not isinstance(data.get(key), str):
+            raise SequentError(f"proof node has no string {key!r}")
+    if not isinstance(data.get("premises", []), list):
+        raise SequentError("proof node 'premises' is not a list")
+    wit = data.get("witness", {})
+    if not isinstance(wit, dict) or not all(
+        isinstance(v, int if k in witness_ints else str) for k, v in wit.items()
+    ):
+        raise SequentError("proof node 'witness' is not an object with string fields")
+
+
 def labelled_to_json(d: LabelledDerivation) -> dict:
     return {
         "sequent": show_sequent(d.conclusion),
@@ -101,6 +118,7 @@ def labelled_to_json(d: LabelledDerivation) -> dict:
 
 
 def labelled_from_json(data: dict) -> LabelledDerivation:
+    _check_node(data)
     return LabelledDerivation(
         parse_sequent(data["sequent"]),
         Rule(data["rule"]),
@@ -139,10 +157,14 @@ def nested_to_json(d: NestedDerivation) -> dict:
 
 
 def nested_from_json(data: dict) -> NestedDerivation:
+    _check_node(data, witness_ints=("child",))
+    hole = data.get("hole", [])
+    if not isinstance(hole, list) or not all(isinstance(i, int) for i in hole):
+        raise SequentError("proof node 'hole' is not a list of integers")
     return NestedDerivation(
         parse_nested(data["sequent"]),
         NRule(data["rule"]),
-        tuple(data.get("hole", ())),
+        tuple(hole),
         tuple(nested_from_json(p) for p in data.get("premises", ())),
         nwitness_from_json(data.get("witness", {})),
     )
@@ -161,10 +183,14 @@ def dump_proof(d, calculus: str) -> str:
 def load_proof(text: str):
     """Returns (derivation, kind, calculus)."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise SequentError("proof file is not a JSON object")
     kind = doc.get("kind")
     calc = doc.get("calculus", "")
+    if not isinstance(calc, str):
+        raise SequentError("proof file 'calculus' is not a string")
     if kind == "labelled":
-        return labelled_from_json(doc["proof"]), kind, calc
+        return labelled_from_json(doc.get("proof")), kind, calc
     if kind == "nested":
-        return nested_from_json(doc["proof"]), kind, calc
+        return nested_from_json(doc.get("proof")), kind, calc
     raise SequentError(f"unknown proof kind {kind!r}")

@@ -70,6 +70,9 @@ from .kripke import (
 )
 from .labelled import (
     CALCULI,
+    CONSUMES,
+    COPIES,
+    EIGEN_LABEL,
     DomAtom,
     Label,
     LabelledDerivation,
@@ -127,6 +130,9 @@ def prove(goal, cfg: SearchConfig) -> Optional[Derivation]:
     to an ancestor on its branch is always pruned; loop_check additionally
     applies the eigen block (`_fire_eigen`) in the invertible calculi and
     prunes sequents equal to an ancestor up to label renaming.
+
+    parameter_budget, the fresh parameters that forall_l and exists_r may
+    bring in along a branch, is read only by the nested calculi.
     """
     if isinstance(goal, LabelledSequent):
         if cfg.calculus not in CALCULI:
@@ -265,17 +271,15 @@ def _renaming_equal(s1: LabelledSequent, s2: LabelledSequent) -> bool:
 # ---------------------------------------------------------------------------
 # the search kernel
 
-# The rule groups, in the order the search tries them.  They are written
-# once, over the labelled rules; a nested calculus searches with their
-# images under RULE_TO_NESTED, so it has no relational saturation and its
-# forall_r, the image of forall_r_star, creates no world.
+# The rule groups, in the order the search tries them, over the labelled
+# rules and their classes in labelled.py; a nested calculus searches with
+# their images under RULE_TO_NESTED, so it has no relational saturation and
+# its forall_r, the image of forall_r_star, creates no world.
 _CLOSERS = (Rule.BOT_L, Rule.ID, Rule.ID_Q, Rule.ID_STAR, Rule.ID_Q_STAR)
 _SATURATE = (Rule.REF, Rule.TRA, Rule.ND, Rule.CD)
-_CONSUME = (Rule.AND_L, Rule.OR_R, Rule.AND_R, Rule.OR_L, Rule.IMP_R, Rule.NEG_R,
-            Rule.FORALL_R, Rule.FORALL_R_STAR, Rule.EXISTS_L)
-_CREATES_WORLD = frozenset({Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R})
-_COPY = (Rule.NEG_L, Rule.LIFT, Rule.FORALL_L, Rule.FORALL_L_STAR,
-         Rule.EXISTS_R, Rule.EXISTS_R_STAR, Rule.IMP_L, Rule.IMP_L_STAR)
+_CONSUME = tuple(CONSUMES)
+_CREATES_WORLD = EIGEN_LABEL
+_COPY = COPIES
 
 
 def _nested_group(group) -> tuple:

@@ -13,29 +13,25 @@ and the (rule count, height) measure strictly decreases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace as dc_replace
 
 from .formula import (
-    And,
-    Atom,
     Bot,
-    Exists,
-    Forall,
     Formula,
-    Impl,
     Neg,
-    Or,
     Param,
     convert_signature,
     rename_param,
-    show_formula,
     substitute_param,
 )
 from .graph import is_treelike, nestify_with_paths, tree_root
 from .labelled import (
     ADMISSIBLE_TAGS,
+    CALCULI,
+    CONSUMES,
     DERIVED,
+    EIGEN_LABEL,
+    EIGEN_PARAM,
     DomAtom,
     Label,
     LabelledDerivation,
@@ -117,10 +113,6 @@ def _no_tags(d: LabelledDerivation) -> None:
             )
 
 
-_EIGEN_LABEL_RULES = (Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R)
-_EIGEN_PARAM_RULES = (Rule.FORALL_R, Rule.EXISTS_L, Rule.FORALL_R_STAR)
-
-
 def _witness_sub_label(w: Witness, new: Label, old: Label) -> Witness:
     def ml(l):
         return new if l == old else l
@@ -174,11 +166,11 @@ def substitute_derivation(
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
         w = n.witness
-        if kind == "label" and n.rule in _EIGEN_LABEL_RULES and w.label in (new, old):
+        if kind == "label" and n.rule in EIGEN_LABEL and w.label in (new, old):
             fresh = fresh_labels(used)[0]
             n = _rename_eigen_label(n, fresh, calc)
             w = n.witness
-        if kind == "param" and n.rule in _EIGEN_PARAM_RULES and w.param in (new, old):
+        if kind == "param" and n.rule in EIGEN_PARAM and w.param in (new, old):
             fresh = fresh_params(used)[0]
             n = _rename_eigen_param(n, fresh, calc)
             w = n.witness
@@ -241,10 +233,10 @@ def weaken_derivation(
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
         w = n.witness
-        if n.rule in _EIGEN_LABEL_RULES and w.label in clash_labels:
+        if n.rule in EIGEN_LABEL and w.label in clash_labels:
             n = _rename_eigen_label(n, fresh_labels(used)[0], calc)
             w = n.witness
-        if n.rule in _EIGEN_PARAM_RULES and w.param in clash_params:
+        if n.rule in EIGEN_PARAM and w.param in clash_params:
             n = _rename_eigen_param(n, fresh_params(used)[0], calc)
             w = n.witness
         prem = tuple(go(p) for p in n.premises)
@@ -259,68 +251,21 @@ def weaken_derivation(
 # ---------------------------------------------------------------------------
 # inversion
 
-_SUCC_INVERTIBLE = {
-    Rule.AND_R, Rule.OR_R, Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R,
-    Rule.FORALL_R_STAR,
-}
-_ANTE_INVERTIBLE = {Rule.AND_L, Rule.OR_L, Rule.EXISTS_L}
-_WEAKENING_INVERTIBLE = {
-    Rule.IMP_L, Rule.IMP_L_STAR, Rule.NEG_L, Rule.FORALL_L, Rule.FORALL_L_STAR,
-    Rule.EXISTS_R, Rule.EXISTS_R_STAR, Rule.REF, Rule.TRA, Rule.ND, Rule.CD,
-    Rule.LIFT,
-}
+def _eigen_witness(rule: Rule, occ: LabelledFormula, used: set[str],
+                   label: Label | None = None, param: Param | None = None) -> Witness:
+    """The witness of the consuming rule on occ; the eigennames it takes and
+    is not given are picked fresh from `used`."""
+    return Witness(
+        principal=occ,
+        label=(label or fresh_labels(used)[0]) if rule in EIGEN_LABEL else None,
+        param=(param or fresh_params(used)[0]) if rule in EIGEN_PARAM else None,
+    )
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Replacement material for one inverted occurrence."""
-
-    rel: tuple[RelAtom, ...] = ()
-    dom: tuple[DomAtom, ...] = ()
-    ante: tuple[LabelledFormula, ...] = ()
-    succ: tuple[LabelledFormula, ...] = ()
-    label: Label | None = None  # the fresh eigenlabel used, if any
-    param: Param | None = None  # the fresh eigenparameter used, if any
-
-
-def _make_plan(
-    rule: Rule,
-    occ: LabelledFormula,
-    idx: int,
-    used: set[str],
-    label: Label | None = None,
-    param: Param | None = None,
-) -> _Plan:
-    (w, f) = occ
-    if rule is Rule.AND_L:
-        return _Plan(ante=((w, f.left), (w, f.right)))
-    if rule is Rule.OR_L:
-        return _Plan(ante=((w, (f.left, f.right)[idx]),))
-    if rule is Rule.AND_R:
-        return _Plan(succ=((w, (f.left, f.right)[idx]),))
-    if rule is Rule.OR_R:
-        return _Plan(succ=((w, f.left), (w, f.right)))
-    if rule is Rule.IMP_R:
-        v = label or fresh_labels(used)[0]
-        return _Plan(rel=(RelAtom(w, v),), ante=((v, f.left),), succ=((v, f.right),), label=v)
-    if rule is Rule.NEG_R:
-        v = label or fresh_labels(used)[0]
-        return _Plan(rel=(RelAtom(w, v),), ante=((v, f.body),), label=v)
-    if rule is Rule.FORALL_R:
-        v = label or fresh_labels(used)[0]
-        a = param or fresh_params(used)[0]
-        inst = substitute_param(f.body, a, f.var)
-        return _Plan(rel=(RelAtom(w, v),), dom=(DomAtom(a, v),), succ=((v, inst),),
-                     label=v, param=a)
-    if rule is Rule.FORALL_R_STAR:
-        a = param or fresh_params(used)[0]
-        inst = substitute_param(f.body, a, f.var)
-        return _Plan(dom=(DomAtom(a, w),), succ=((w, inst),), param=a)
-    if rule is Rule.EXISTS_L:
-        a = param or fresh_params(used)[0]
-        inst = substitute_param(f.body, a, f.var)
-        return _Plan(dom=(DomAtom(a, w),), ante=((w, inst),), param=a)
-    raise TransformError(f"no inversion plan for {rule.value}")
+def _pieces(rule: Rule, w: Witness) -> tuple[LabelledSequent, ...]:
+    """What each premise of the consuming rule puts in place of its
+    principal: the premises of a sequent holding only the principal."""
+    return premises_for(rule, LabelledSequent(**{CONSUMES[rule]: (w.principal,)}), w)
 
 
 def invert_derivation(
@@ -340,19 +285,17 @@ def invert_derivation(
     if premise_index >= len(want):
         raise SequentError(f"{rule.value} has no premise {premise_index}")
     target = want[premise_index]
-    if rule in _WEAKENING_INVERTIBLE:
+    if rule not in CONSUMES:
+        # the rule keeps its conclusion in its premises
         extra_rel = _diff(target.rel, d.conclusion.rel)
         extra_dom = _diff(target.dom, d.conclusion.dom)
         extra_ante = _diff(target.ante, d.conclusion.ante)
         extra_succ = _diff(target.succ, d.conclusion.succ)
         return weaken_derivation(d, calc, extra_rel, extra_dom, extra_ante, extra_succ)
-    if rule not in _SUCC_INVERTIBLE and rule not in _ANTE_INVERTIBLE:
-        raise SequentError(f"{rule.value} is not invertible")
-    occ = witness.principal
     used = d.all_labels() | d.all_params()
-    plan = _make_plan(rule, occ, premise_index, used,
-                      label=witness.label, param=witness.param)
-    out = _invert(d, rule, premise_index, {occ: [plan]}, used, calc)
+    pw = _eigen_witness(rule, witness.principal, used, witness.label, witness.param)
+    plan = (_pieces(rule, pw)[premise_index], pw)
+    out = _invert(d, rule, premise_index, {pw.principal: [plan]}, used, calc)
     if out.conclusion != target:
         raise TransformError(
             f"inversion produced {out.conclusion!r}, wanted {target!r}"
@@ -373,9 +316,9 @@ def _diff(big, small):
 
 def _apply_plans(s: LabelledSequent, side: str, occs) -> LabelledSequent:
     for occ, plans in occs.items():
-        for plan in plans:
+        for piece, _w in plans:
             s = s.remove(**{side: [occ]})
-            s = s.add(plan.rel, plan.dom, plan.ante, plan.succ)
+            s = s.add(piece.rel, piece.dom, piece.ante, piece.succ)
     return s
 
 
@@ -383,28 +326,30 @@ def _invert(
     d: LabelledDerivation,
     rule: Rule,
     idx: int,
-    occs: dict[LabelledFormula, list[_Plan]],
+    occs: dict[LabelledFormula, list[tuple[LabelledSequent, Witness]]],
     used: set[str],
     calc: str,
 ) -> LabelledDerivation:
-    side = "ante" if rule in _ANTE_INVERTIBLE else "succ"
+    side = CONSUMES[rule]
     n = d
     w = n.witness
     tracked = occs.get(w.principal) if w.principal is not None else None
 
-    # the node consumes a tracked occurrence with its own instance of the
-    # target rule: the chosen premise subproof realises one plan
+    # each tracked occurrence has a list of plans: the material replacing
+    # it (a piece) and the witness whose eigennames that uses.  The node
+    # consumes a tracked occurrence with its own instance of the target
+    # rule: the chosen premise subproof realises one plan
     if n.rule is rule and tracked:
-        plan = tracked[0]
+        plan_w = tracked[0][1]
         rest = {k: v for k, v in occs.items() if k != w.principal}
         if len(tracked) > 1:
             rest[w.principal] = tracked[1:]
         sub = n.premises[idx]
         # align the node's own fresh names with the plan's
-        if plan.label is not None and w.label != plan.label:
-            sub = substitute_derivation(sub, "label", plan.label, w.label, calc)
-        if plan.param is not None and w.param != plan.param:
-            sub = substitute_derivation(sub, "param", plan.param, w.param, calc)
+        if plan_w.label is not None and w.label != plan_w.label:
+            sub = substitute_derivation(sub, "label", plan_w.label, w.label, calc)
+        if plan_w.param is not None and w.param != plan_w.param:
+            sub = substitute_derivation(sub, "param", plan_w.param, w.param, calc)
         return _invert(sub, rule, idx, rest, used, calc) if rest else sub
 
     # lift duplicates a tracked antecedent occurrence into the upper label
@@ -417,26 +362,26 @@ def _invert(
         u = w.rel.v
         (wl, f) = w.principal
         up_occ = (u, f)
-        plan_u = _make_plan(rule, up_occ, idx, used)
+        wu = _eigen_witness(rule, up_occ, used)
         grown = dict(occs)
-        grown[up_occ] = grown.get(up_occ, []) + [plan_u]
+        grown[up_occ] = grown.get(up_occ, []) + [(_pieces(rule, wu)[idx], wu)]
         inner = _invert(n.premises[0], rule, idx, grown, used, calc)
-        plan_w = tracked[0]
+        piece_w, plan_w = tracked[0]
         if rule is Rule.EXISTS_L:
             # unify the two fresh parameters, lift the instance, close the
             # duplicated domain atom with nd
-            inner = substitute_derivation(inner, "param", plan_w.param, plan_u.param, calc)
-            inst_w = plan_w.ante[0]
+            inner = substitute_derivation(inner, "param", plan_w.param, wu.param, calc)
+            inst_w = piece_w.ante[0]
             inst_u = (u, inst_w[1])
             c1 = inner.conclusion.remove(ante=[inst_u])
             inner = _mk(calc, Rule.LIFT, c1, (inner,),
                         Witness(principal=inst_w, rel=w.rel))
-            dom_w = plan_w.dom[0]
+            dom_w = piece_w.dom[0]
             dom_u = DomAtom(dom_w.a, u)
             c2 = c1.remove(dom=[dom_u])
             return _mk(calc, Rule.ND, c2, (inner,), Witness(rel=w.rel, dom=dom_w))
         cur = inner
-        for (lbl, g) in plan_w.ante:
+        for (lbl, g) in piece_w.ante:
             up = (u, g)
             c1 = cur.conclusion.remove(ante=[up])
             cur = _mk(calc, Rule.LIFT, c1, (cur,),
@@ -482,121 +427,43 @@ def _contract_atom(d: LabelledDerivation, dup, calc: str) -> LabelledDerivation:
     return go(d)
 
 
-_CONSUMING_ANTE = {Rule.AND_L, Rule.OR_L, Rule.EXISTS_L}
-_CONSUMING_SUCC = {
-    Rule.AND_R, Rule.OR_R, Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R,
-    Rule.FORALL_R_STAR,
-}
-
-
 def _contract_formula(
     d: LabelledDerivation, dup: LabelledFormula, left: bool, calc: str
 ) -> LabelledDerivation:
-    side = d.conclusion.ante if left else d.conclusion.succ
-    if side.count(dup) < 2:
+    side = "ante" if left else "succ"
+    if getattr(d.conclusion, side).count(dup) < 2:
         raise SequentError(f"duplicate {dup!r} not present twice")
-    consuming = _CONSUMING_ANTE if left else _CONSUMING_SUCC
-
-    n = d
-    w = n.witness
-    if n.rule in consuming and w.principal == dup:
-        return _contract_principal(n, dup, left, calc)
-
-    def strip(s: LabelledSequent) -> LabelledSequent:
-        return s.remove(ante=[dup]) if left else s.remove(succ=[dup])
-
-    prem = tuple(_contract_formula(p, dup, left, calc) for p in n.premises)
-    return _mk(calc, n.rule, strip(n.conclusion), prem, w)
+    if CONSUMES.get(d.rule) == side and d.witness.principal == dup:
+        return _contract_principal(d, dup, calc)
+    prem = tuple(_contract_formula(p, dup, left, calc) for p in d.premises)
+    return _mk(calc, d.rule, d.conclusion.remove(**{side: [dup]}), prem, d.witness)
 
 
 def _contract_principal(
-    n: LabelledDerivation, dup: LabelledFormula, left: bool, calc: str
+    n: LabelledDerivation, dup: LabelledFormula, calc: str
 ) -> LabelledDerivation:
-    """The contracted formula is principal of a consuming rule: invert the
-    surviving copy in the premise, contract the pieces, reapply."""
-    (wl, f) = dup
+    """The contracted formula is principal of a consuming rule: in each
+    premise, invert the surviving copy with fresh eigennames, merge those
+    onto the rule's own, contract the pieces the rule added, and reapply."""
     rule = n.rule
     w = n.witness
-    used = n.all_labels() | n.all_params()
-    kindl, kindr = Rule.CTR_FL, Rule.CTR_FR
-
-    def inv(sub: LabelledDerivation, idx: int, plan_witness: Witness) -> LabelledDerivation:
-        return invert_derivation(sub, rule, plan_witness, calc, idx)
-
-    if rule is Rule.AND_L:
-        p = inv(n.premises[0], 0, Witness(principal=dup))
-        p = contract_derivation(p, kindl, (wl, f.left), calc)
-        p = contract_derivation(p, kindl, (wl, f.right), calc)
-        return _mk(calc, rule, n.conclusion.remove(ante=[dup]), (p,), w)
-    if rule is Rule.OR_L:
-        p0 = inv(n.premises[0], 0, Witness(principal=dup))
-        p0 = contract_derivation(p0, kindl, (wl, f.left), calc)
-        p1 = inv(n.premises[1], 1, Witness(principal=dup))
-        p1 = contract_derivation(p1, kindl, (wl, f.right), calc)
-        return _mk(calc, rule, n.conclusion.remove(ante=[dup]), (p0, p1), w)
-    if rule is Rule.AND_R:
-        p0 = inv(n.premises[0], 0, Witness(principal=dup))
-        p0 = contract_derivation(p0, kindr, (wl, f.left), calc)
-        p1 = inv(n.premises[1], 1, Witness(principal=dup))
-        p1 = contract_derivation(p1, kindr, (wl, f.right), calc)
-        return _mk(calc, rule, n.conclusion.remove(succ=[dup]), (p0, p1), w)
-    if rule is Rule.OR_R:
-        p = inv(n.premises[0], 0, Witness(principal=dup))
-        p = contract_derivation(p, kindr, (wl, f.left), calc)
-        p = contract_derivation(p, kindr, (wl, f.right), calc)
-        return _mk(calc, rule, n.conclusion.remove(succ=[dup]), (p,), w)
-    if rule in (Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R, Rule.FORALL_R_STAR,
-                Rule.EXISTS_L):
-        sub = n.premises[0]
-        fresh_w = _fresh_witness_like(rule, dup, used)
-        p = inv(sub, 0, fresh_w)
-        # merge the fresh copy back onto the rule's own eigennames
+    fresh_w = _eigen_witness(rule, dup, n.all_labels() | n.all_params())
+    prem = []
+    for idx, (sub, piece) in enumerate(zip(n.premises, _pieces(rule, w))):
+        p = invert_derivation(sub, rule, fresh_w, calc, idx)
         if fresh_w.label is not None:
             p = substitute_derivation(p, "label", w.label, fresh_w.label, calc)
         if fresh_w.param is not None:
             p = substitute_derivation(p, "param", w.param, fresh_w.param, calc)
-        # contract the now-duplicated side material
-        if rule is Rule.IMP_R:
-            p = _contract_atom(p, RelAtom(wl, w.label), calc)
-            p = contract_derivation(p, kindl, (w.label, f.left), calc)
-            p = contract_derivation(p, kindr, (w.label, f.right), calc)
-            new_concl = n.conclusion.remove(succ=[dup])
-        elif rule is Rule.NEG_R:
-            p = _contract_atom(p, RelAtom(wl, w.label), calc)
-            p = contract_derivation(p, kindl, (w.label, f.body), calc)
-            new_concl = n.conclusion.remove(succ=[dup])
-        elif rule is Rule.FORALL_R:
-            inst = substitute_param(f.body, w.param, f.var)
-            p = _contract_atom(p, RelAtom(wl, w.label), calc)
-            p = _contract_atom(p, DomAtom(w.param, w.label), calc)
-            p = contract_derivation(p, kindr, (w.label, inst), calc)
-            new_concl = n.conclusion.remove(succ=[dup])
-        elif rule is Rule.FORALL_R_STAR:
-            inst = substitute_param(f.body, w.param, f.var)
-            p = _contract_atom(p, DomAtom(w.param, wl), calc)
-            p = contract_derivation(p, kindr, (wl, inst), calc)
-            new_concl = n.conclusion.remove(succ=[dup])
-        else:  # EXISTS_L
-            inst = substitute_param(f.body, w.param, f.var)
-            p = _contract_atom(p, DomAtom(w.param, wl), calc)
-            p = contract_derivation(p, kindl, (wl, inst), calc)
-            new_concl = n.conclusion.remove(ante=[dup])
-        return _mk(calc, rule, new_concl, (p,), w)
-    raise TransformError(f"unhandled principal contraction at {rule.value}")
-
-
-def _fresh_witness_like(rule: Rule, occ: LabelledFormula, used: set[str]) -> Witness:
-    if rule in (Rule.IMP_R, Rule.NEG_R):
-        return Witness(principal=occ, label=fresh_labels(set(used))[0])
-    if rule is Rule.FORALL_R:
-        return Witness(
-            principal=occ,
-            label=fresh_labels(set(used))[0],
-            param=fresh_params(set(used))[0],
-        )
-    if rule in (Rule.FORALL_R_STAR, Rule.EXISTS_L):
-        return Witness(principal=occ, param=fresh_params(set(used))[0])
-    return Witness(principal=occ)
+        for atom in piece.rel + piece.dom:
+            p = _contract_atom(p, atom, calc)
+        for lf in piece.ante:
+            p = contract_derivation(p, Rule.CTR_FL, lf, calc)
+        for lf in piece.succ:
+            p = contract_derivation(p, Rule.CTR_FR, lf, calc)
+        prem.append(p)
+    concl = n.conclusion.remove(**{CONSUMES[rule]: [dup]})
+    return _mk(calc, rule, concl, tuple(prem), w)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,12 +887,9 @@ def eliminate_structural(
         raise SequentError(f"input does not check in {ambient} at {where}: {msg}")
     report = TransformReport(calculus_in=calc, calculus_out=target,
                              height_before=d.height())
-    counts = d.rule_counts()
-    for r in (Rule.REF, Rule.TRA, Rule.ND, Rule.CD, Rule.ID, Rule.ID_Q,
-              Rule.BOT_L, Rule.IMP_L, Rule.FORALL_L, Rule.FORALL_R,
-              Rule.EXISTS_R):
-        if counts.get(r):
-            report.rules_eliminated[r] = counts[r]
+    report.rules_eliminated = {
+        r: k for r, k in d.rule_counts().items() if r in STRUCTURAL | DERIVED
+    }
 
     end = d.conclusion
     theorem_shape = (
@@ -1052,13 +916,14 @@ def eliminate_structural(
     if theorem_shape:
         root = end.succ[0][0]
         for n in d.nodes():
-            okt, viol = is_treelike(n.conclusion)
-            if not okt:
-                raise TransformError(
-                    f"non-treelike sequent in output: {viol.kind}: {viol.detail}"
-                )
             r = tree_root(n.conclusion)
-            if r is not None and r != root:
+            if r is None:
+                okt, viol = is_treelike(n.conclusion)
+                if not okt:
+                    raise TransformError(
+                        f"non-treelike sequent in output: {viol.kind}: {viol.detail}"
+                    )
+            elif r != root:
                 raise TransformError(
                     f"output sequent rooted at {r}, expected {root}"
                 )
@@ -1076,11 +941,8 @@ def proof_to_nested(d: LabelledDerivation, calc: str = "auto") -> NestedDerivati
     """
     _no_tags(d)
     if calc == "auto":
-        fo = any(
-            n.rule in (Rule.ID_Q_STAR, Rule.FORALL_L_STAR, Rule.FORALL_R_STAR,
-                       Rule.EXISTS_L, Rule.EXISTS_R_STAR)
-            for n in d.nodes()
-        )
+        fo_rules = CALCULI["intqcl-tree"] - CALCULI["g3int-tree"]
+        fo = any(n.rule in fo_rules for n in d.nodes())
         calc = "nintqc-star" if fo else "nint-star"
 
     def go(n: LabelledDerivation) -> NestedDerivation:
@@ -1097,25 +959,16 @@ def proof_to_nested(d: LabelledDerivation, calc: str = "auto") -> NestedDerivati
             )
         nested, paths = nestify_with_paths(n.conclusion)
         w = n.witness
-        nrule = RULE_TO_NESTED[n.rule]
-        if n.rule in (Rule.ID_STAR, Rule.ID_Q_STAR):
-            hole = paths[w.principal[0]]
-            nw = NWitness(formula=w.principal[1])
-        elif n.rule is Rule.LIFT:
-            hole = paths[w.principal[0]]
-            child_path = paths[w.rel.v]
-            nw = NWitness(formula=w.principal[1], child=child_path[-1])
-        elif n.rule in (Rule.FORALL_R_STAR, Rule.EXISTS_L):
-            hole = paths[w.principal[0]]
-            nw = NWitness(formula=w.principal[1], param=w.param)
-        elif n.rule in (Rule.FORALL_L_STAR, Rule.EXISTS_R_STAR):
-            hole = paths[w.principal[0]]
-            nw = NWitness(formula=w.principal[1], param=w.dom.a)
-        else:
-            hole = paths[w.principal[0]]
-            nw = NWitness(formula=w.principal[1])
+        # the hole is the principal's world; an instantiating rule names its
+        # parameter by a domain atom, an eigen rule by the parameter itself
+        (wl, f) = w.principal
+        nw = NWitness(
+            formula=f,
+            param=w.param if w.dom is None else w.dom.a,
+            child=paths[w.rel.v][-1] if n.rule is Rule.LIFT else None,
+        )
         prem = tuple(go(p) for p in n.premises)
-        return NestedDerivation(nested, nrule, hole, prem, nw)
+        return NestedDerivation(nested, RULE_TO_NESTED[n.rule], paths[wl], prem, nw)
 
     out = go(d)
     ok, where, msg = check_nested_derivation(calc, out)

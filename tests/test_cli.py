@@ -125,6 +125,17 @@ def test_exit_code_matrix(tmp_path, capsys):
     proof = tmp_path / "p.json"
     model = tmp_path / "m.txt"
     model.write_text("worlds: w\n")
+    node = {"sequent": " => w: p -> p", "rule": "imp_r", "witness": {}, "premises": []}
+    malformed = []
+    for i, doc in enumerate([
+        [1, 2],
+        {"kind": "labelled", "proof": {k: v for k, v in node.items() if k != "sequent"}},
+        {"kind": "labelled", "proof": {**node, "premises": [5]}},
+        {"kind": "labelled", "calculus": ["g3int"], "proof": node},
+        {"kind": "nested", "proof": {**node, "sequent": " -> p -> p", "hole": "0"}},
+    ]):
+        malformed.append(tmp_path / f"malformed{i}.json")
+        malformed[-1].write_text(json.dumps(doc))
     cases = [
         (["parse", "p & q"], 0),
         (["parse", "p &&& q"], 2),
@@ -147,6 +158,7 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["eliminate", str(tmp_path / "absent.json")], 2),
         (["fuzz-soundness", "--models", "5"], 0),
     ]
+    cases += [([cmd, str(f)], 2) for f in malformed for cmd in ("check", "eliminate")]
     for argv, want in cases:
         got = run(argv)
         capsys.readouterr()

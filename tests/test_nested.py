@@ -1,6 +1,7 @@
 import pytest
 
 from intcalc.formula import Atom, Impl, Neg, Param, parse_formula
+from intcalc.labelled import SequentError
 from intcalc.nested import (
     NESTED_CALCULI,
     NRule,
@@ -10,6 +11,7 @@ from intcalc.nested import (
     apply_nested_backward,
     check_nested_derivation,
     check_nested_inference,
+    edit,
     nested_premises_for,
     parse_nested,
     show_nested,
@@ -171,18 +173,42 @@ def test_apply_backward_coherence():
 
 def test_original_rules_are_star_instances():
     """Shared-schema rules coincide between the two rule sets on generated
-    instances (the copy rules differ by the kept principal)."""
+    instances; a copy rule's nint/nintqc premise is its starred premise
+    minus one copy of the principal at the hole."""
     shared = [NRule.ID, NRule.AND_L, NRule.OR_R, NRule.OR_L, NRule.AND_R,
               NRule.NEG_R, NRule.IMP_R, NRule.FORALL_R, NRule.EXISTS_L]
+    copies = {NRule.NEG_L: "ante", NRule.IMP_L: "ante", NRule.LIFT: "ante",
+              NRule.FORALL_L: "ante", NRule.EXISTS_R: "succ"}
+    # every node has at most one child, so a hole names the same node in a
+    # premise as in the goal
     goals = [
         parse_nested("p & q -> p | q, [ -> ~r]"),
         parse_nested("exists x. r(x) -> forall y. s(y), [p -> p -> q]"),
+        parse_nested("~r, (p -> q), (forall x. r(x)) -> exists y. s(y), "
+                     "[~q, (q -> p) -> exists x. r(x), [r(#a) -> ]]"),
     ]
+
+    def key(out):
+        hole, prems, wit = out
+        return (hole, prems, wit.formula, wit.param, wit.child)
+
+    def consumed(out, side):
+        hole, prems, wit = out
+        drop = {"drop_" + side: [wit.formula]}
+        return (hole, tuple(p.replace_at(hole, edit(p.at(hole), **drop)) for p in prems), wit)
+
+    seen = set()
     for goal in goals:
-        for rule in shared:
+        for rule in shared + list(copies):
             orig = apply_nested_backward("nintqc", rule, goal)
             star = apply_nested_backward("nintqc-star", rule, goal)
-            def key(out):
-                hole, prems, wit = out
-                return (hole, prems, wit.formula)
+            if rule in copies:
+                star = [consumed(out, copies[rule]) for out in star]
             assert sorted(map(key, orig), key=repr) == sorted(map(key, star), key=repr)
+            seen.update(rule for _ in orig)
+    assert set(copies) <= seen
+
+
+def test_apply_backward_unknown_calculus():
+    with pytest.raises(SequentError, match="unknown nested calculus"):
+        apply_nested_backward("nope", NRule.IMP_R, parse_nested(" -> p -> q"))

@@ -197,6 +197,44 @@ def test_contract_ante_principal():
     assert check_derivation("g3int", d2)[0]
 
 
+def _forall_r_star_proof():
+    # search uses forall_r; the elimination turns it into forall_r_star
+    d = prove_g3("forall x. r(x) -> r(x)", calc="g3intqc")
+    out, _ = eliminate_structural(d, "g3intqc")
+    return out
+
+
+@pytest.mark.parametrize("rule, calc, end", [
+    (Rule.AND_R, "g3int", " => w: (p -> p) & (q -> q)"),
+    (Rule.OR_L, "g3int", "w: p | p => w: p"),
+    (Rule.OR_R, "g3int", " => w: (p -> p) | q"),
+    (Rule.NEG_R, "g3int-ext", " => w: ~(p & ~p)"),
+    (Rule.FORALL_R, "g3intqc", " => w: forall x. r(x) -> r(x)"),
+    (Rule.FORALL_R_STAR, "intqcl", " => w: forall x. r(x) -> r(x)"),
+    (Rule.EXISTS_L, "g3intqc", "w: exists x. r(x) => w: exists y. r(y)"),
+])
+def test_contract_principal_of_each_consuming_rule(rule, calc, end):
+    # a proof in which the rule consumes A, weakened by a second A: the
+    # contraction meets the duplicate as the principal of that rule
+    goal = parse_sequent(end)
+    if rule is Rule.FORALL_R_STAR:
+        d = _forall_r_star_proof()
+    else:
+        d = prove(goal, SearchConfig(calc, 12, parameter_budget=2))
+        assert d is not None
+    left = bool(goal.ante)
+    dup = (goal.ante if left else goal.succ)[0]
+    assert d.conclusion == goal
+    assert any(n.rule is rule and n.witness.principal == dup for n in d.nodes())
+    d1 = weaken_derivation(d, calc, **{"ante" if left else "succ": [dup]})
+    d2 = contract_derivation(d1, Rule.CTR_FL if left else Rule.CTR_FR, dup, calc)
+    assert d2.conclusion == goal
+    ok, _, msg = check_derivation(calc, d2)
+    assert ok, msg
+    if calc in ("g3int", "g3intqc"):
+        assert d2.height() <= d1.height()
+
+
 # -- eliminations -------------------------------------------------------------
 
 def test_eliminate_ref_section4():
