@@ -347,6 +347,9 @@ def run(argv) -> int:
             FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return INPUT_ERROR
     except TransformError as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return INTERNAL

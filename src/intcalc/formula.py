@@ -19,8 +19,8 @@ maximal scope to the right.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Union
 
 
@@ -130,6 +130,25 @@ for _cls in (Param, Var, Bot, Atom, Neg, And, Or, Impl, Forall, Exists):
     cache_hash(_cls)
 
 
+def cached(fn):
+    """Memoize a function of one frozen formula or sequent on the instance.
+
+    For the functions that walk a whole formula or sequent and that proof
+    search calls many times on the same one (its text, parameters, labels).
+    """
+    key = f"_{fn.__name__}_"
+
+    @functools.wraps(fn)
+    def wrapper(x):
+        v = x.__dict__.get(key)
+        if v is None:
+            v = fn(x)
+            object.__setattr__(x, key, v)
+        return v
+
+    return wrapper
+
+
 def complexity(f: Formula) -> int:
     """Number of connectives and quantifiers in f."""
     if isinstance(f, (Bot, Atom)):
@@ -152,6 +171,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(f.right)
 
 
+@cached
 def params_of(f: Formula) -> tuple[Param, ...]:
     """Parameters of f in left-to-right first-occurrence order."""
     seen: list[Param] = []
@@ -301,13 +321,10 @@ def _show(f: Formula, ctx: int) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@cached
 def show_formula(f: Formula) -> str:
     """Minimal-parentheses text for f; parse_formula inverts it."""
-    s = f.__dict__.get("_text_")
-    if s is None:
-        s = _show(f, 0)
-        object.__setattr__(f, "_text_", s)
-    return s
+    return _show(f, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .formula import (
     Param,
     Var,
     cache_hash,
+    cached,
     fkey,
     params_of,
     parse_formula,
@@ -144,12 +145,14 @@ class LabelledSequent:
     def count_dom(self, d: DomAtom) -> int:
         return self.dom.count(d)
 
+    @cached
     def labels(self) -> frozenset[Label]:
         ls = {r.w for r in self.rel} | {r.v for r in self.rel}
         ls |= {d.w for d in self.dom}
         ls |= {w for (w, _) in self.ante} | {w for (w, _) in self.succ}
         return frozenset(ls)
 
+    @cached
     def params(self) -> frozenset[Param]:
         ps = {d.a for d in self.dom}
         for (_, f) in self.ante + self.succ:
@@ -865,102 +868,133 @@ def apply_backward(
     return out
 
 
-def _candidate_witnesses(rule: Rule, s: LabelledSequent) -> Iterator[Witness]:
-    used_labels = {l.name for l in s.labels()}
-    used_params = {p.name for p in s.params()}
+class SequentIndex:
+    """The lookup tables of one labelled sequent that candidate enumeration
+    and the search's novelty test read: the distinct occurrences, each
+    table in first-occurrence order, so that reading a table yields the
+    same candidates in the same order as scanning the whole sequent.
+
+    rel, dom: the relational and domain atoms (dicts used as ordered sets);
+    ante, succ: the labelled formulas;
+    ante_of, succ_of: the occurrences of each connective (keyed by class);
+    ante_at, succ_at: the formulas at each label (ordered sets);
+    rel_from: the relational atoms from each label.
+    """
+
+    def __init__(self, s: LabelledSequent):
+        self.rel = dict.fromkeys(s.rel)
+        self.dom = dict.fromkeys(s.dom)
+        self.ante = dict.fromkeys(s.ante)
+        self.succ = dict.fromkeys(s.succ)
+        self.ante_of, self.ante_at = _group(self.ante)
+        self.succ_of, self.succ_at = _group(self.succ)
+        self.rel_from: dict[Label, list[RelAtom]] = {}
+        for r in self.rel:
+            self.rel_from.setdefault(r.w, []).append(r)
+
+
+def _group(occurrences):
+    by_class: dict[type, list[LabelledFormula]] = {}
+    at: dict[Label, dict[Formula, None]] = {}
+    for occ in occurrences:
+        by_class.setdefault(type(occ[1]), []).append(occ)
+        at.setdefault(occ[0], {})[occ[1]] = None
+    return by_class, at
+
+
+def _fresh_label(s: LabelledSequent) -> Label:
+    return fresh_labels({l.name for l in s.labels()})[0]
+
+
+def _fresh_param(s: LabelledSequent) -> Param:
+    return fresh_params({p.name for p in s.params()})[0]
+
+
+_ANTE_SHAPE = {Rule.AND_L: And, Rule.OR_L: Or, Rule.NEG_L: Neg, Rule.IMP_L_STAR: Impl,
+               Rule.EXISTS_L: Exists, Rule.FORALL_L_STAR: Forall, Rule.BOT_L: Bot}
+_SUCC_SHAPE = {Rule.AND_R: And, Rule.OR_R: Or, Rule.IMP_R: Impl, Rule.NEG_R: Neg,
+               Rule.FORALL_R: Forall, Rule.FORALL_R_STAR: Forall,
+               Rule.EXISTS_R: Exists, Rule.EXISTS_R_STAR: Exists}
+
+
+def _candidate_witnesses(
+    rule: Rule, s: LabelledSequent, ix: SequentIndex | None = None
+) -> Iterator[Witness]:
+    """The witnesses worth trying for rule on s, read off the index of s
+    (built here when not given).  Eigenvariables are fresh; premises_for
+    still checks every side condition."""
+    if ix is None:
+        ix = SequentIndex(s)
     if rule in (Rule.ID, Rule.ID_Q):
-        for r in dict.fromkeys(s.rel):
-            for (wl, f) in dict.fromkeys(s.ante):
-                if wl == r.w and isinstance(f, Atom):
-                    if (r.v, f) in s.succ:
-                        yield Witness(principal=(wl, f), formula=(r.v, f), rel=r)
+        for r in ix.rel:
+            succ = ix.succ_at.get(r.v, ())
+            for f in ix.ante_at.get(r.w, ()):
+                if isinstance(f, Atom) and f in succ:
+                    yield Witness(principal=(r.w, f), formula=(r.v, f), rel=r)
     elif rule in (Rule.ID_STAR, Rule.ID_Q_STAR):
-        for (wl, f) in dict.fromkeys(s.ante):
-            if isinstance(f, Atom) and (wl, f) in s.succ:
-                yield Witness(principal=(wl, f), formula=(wl, f))
-    elif rule is Rule.BOT_L:
-        for occ in dict.fromkeys(s.ante):
-            if isinstance(occ[1], Bot):
-                yield Witness(principal=occ)
-    elif rule in (Rule.AND_L, Rule.OR_L, Rule.NEG_L, Rule.IMP_L_STAR,
-                  Rule.EXISTS_L, Rule.FORALL_L_STAR):
-        shape = {Rule.AND_L: And, Rule.OR_L: Or, Rule.NEG_L: Neg,
-                 Rule.IMP_L_STAR: Impl, Rule.EXISTS_L: Exists,
-                 Rule.FORALL_L_STAR: Forall}[rule]
-        for occ in dict.fromkeys(s.ante):
-            if not isinstance(occ[1], shape):
-                continue
-            if rule is Rule.EXISTS_L:
-                a = fresh_params(set(used_params))[0]
+        for occ in ix.ante_of.get(Atom, ()):
+            if occ in ix.succ:
+                yield Witness(principal=occ, formula=occ)
+    elif rule in _ANTE_SHAPE:
+        occs = ix.ante_of.get(_ANTE_SHAPE[rule], ())
+        if not occs:
+            return
+        if rule is Rule.EXISTS_L:
+            a = _fresh_param(s)
+            for occ in occs:
                 yield Witness(principal=occ, param=a)
-            elif rule is Rule.FORALL_L_STAR:
-                # instantiation is witnessed by a domain atom already present
-                for d in dict.fromkeys(s.dom):
+        elif rule is Rule.FORALL_L_STAR:
+            # instantiation is witnessed by a domain atom already present
+            for occ in occs:
+                for d in ix.dom:
                     yield Witness(principal=occ, dom=d)
-            else:
+        else:
+            for occ in occs:
                 yield Witness(principal=occ)
-    elif rule in (Rule.AND_R, Rule.OR_R):
-        shape = {Rule.AND_R: And, Rule.OR_R: Or}[rule]
-        for occ in dict.fromkeys(s.succ):
-            if isinstance(occ[1], shape):
-                yield Witness(principal=occ)
-    elif rule is Rule.IMP_L:
-        for occ in dict.fromkeys(s.ante):
-            if isinstance(occ[1], Impl):
-                for r in dict.fromkeys(s.rel):
-                    if r.w == occ[0]:
-                        yield Witness(principal=occ, rel=r)
-    elif rule in (Rule.IMP_R, Rule.NEG_R):
-        shape = Impl if rule is Rule.IMP_R else Neg
-        for occ in dict.fromkeys(s.succ):
-            if isinstance(occ[1], shape):
-                v = fresh_labels(set(used_labels))[0]
+    elif rule in _SUCC_SHAPE:
+        occs = ix.succ_of.get(_SUCC_SHAPE[rule], ())
+        if not occs:
+            return
+        if rule in (Rule.IMP_R, Rule.NEG_R):
+            v = _fresh_label(s)
+            for occ in occs:
                 yield Witness(principal=occ, label=v)
+        elif rule is Rule.FORALL_R:
+            v, a = _fresh_label(s), _fresh_param(s)
+            for occ in occs:
+                yield Witness(principal=occ, label=v, param=a)
+        elif rule is Rule.FORALL_R_STAR:
+            a = _fresh_param(s)
+            for occ in occs:
+                yield Witness(principal=occ, param=a)
+        elif rule in (Rule.EXISTS_R, Rule.EXISTS_R_STAR):
+            for occ in occs:
+                for d in ix.dom:
+                    yield Witness(principal=occ, dom=d)
+        else:
+            for occ in occs:
+                yield Witness(principal=occ)
+    elif rule in (Rule.IMP_L, Rule.LIFT):
+        occs = ix.ante_of.get(Impl, ()) if rule is Rule.IMP_L else ix.ante
+        for occ in occs:
+            for r in ix.rel_from.get(occ[0], ()):
+                yield Witness(principal=occ, rel=r)
     elif rule is Rule.REF:
         for l in sorted(s.labels(), key=lambda x: x.name):
             yield Witness(label=l)
     elif rule is Rule.TRA:
-        for r1 in dict.fromkeys(s.rel):
-            for r2 in dict.fromkeys(s.rel):
-                if r1.v == r2.w:
-                    yield Witness(rel=r1, rel2=r2)
-    elif rule is Rule.FORALL_R:
-        for occ in dict.fromkeys(s.succ):
-            if isinstance(occ[1], Forall):
-                v = fresh_labels(set(used_labels))[0]
-                a = fresh_params(set(used_params))[0]
-                yield Witness(principal=occ, label=v, param=a)
-    elif rule is Rule.FORALL_R_STAR:
-        for occ in dict.fromkeys(s.succ):
-            if isinstance(occ[1], Forall):
-                a = fresh_params(set(used_params))[0]
-                yield Witness(principal=occ, param=a)
-    elif rule in (Rule.EXISTS_R, Rule.EXISTS_R_STAR):
-        for occ in dict.fromkeys(s.succ):
-            if isinstance(occ[1], Exists):
-                for d in dict.fromkeys(s.dom):
-                    yield Witness(principal=occ, dom=d)
+        for r1 in ix.rel:
+            for r2 in ix.rel_from.get(r1.v, ()):
+                yield Witness(rel=r1, rel2=r2)
     elif rule is Rule.FORALL_L:
-        for occ in dict.fromkeys(s.ante):
-            if isinstance(occ[1], Forall):
-                for r in dict.fromkeys(s.rel):
-                    if r.w != occ[0]:
-                        continue
-                    for d in dict.fromkeys(s.dom):
-                        if d.w == r.v:
-                            yield Witness(principal=occ, rel=r, dom=d)
-    elif rule is Rule.ND:
-        for r in dict.fromkeys(s.rel):
-            for d in dict.fromkeys(s.dom):
-                if d.w == r.w:
+        for occ in ix.ante_of.get(Forall, ()):
+            for r in ix.rel_from.get(occ[0], ()):
+                for d in ix.dom:
+                    if d.w == r.v:
+                        yield Witness(principal=occ, rel=r, dom=d)
+    elif rule in (Rule.ND, Rule.CD):
+        for r in ix.rel:
+            at = r.w if rule is Rule.ND else r.v
+            for d in ix.dom:
+                if d.w == at:
                     yield Witness(rel=r, dom=d)
-    elif rule is Rule.CD:
-        for r in dict.fromkeys(s.rel):
-            for d in dict.fromkeys(s.dom):
-                if d.w == r.v:
-                    yield Witness(rel=r, dom=d)
-    elif rule is Rule.LIFT:
-        for occ in dict.fromkeys(s.ante):
-            for r in dict.fromkeys(s.rel):
-                if r.w == occ[0]:
-                    yield Witness(principal=occ, rel=r)

@@ -34,6 +34,7 @@ from .formula import (
     Neg,
     Or,
     Param,
+    cached,
     fkey,
     params_of,
     parse_formula,
@@ -59,17 +60,16 @@ class NestedSequent:
     def at(self, path: Sequence[int]) -> "NestedSequent":
         node = self
         for i in path:
-            try:
-                node = node.children[i]
-            except IndexError:
-                raise SequentError(f"invalid context path {tuple(path)}") from None
+            if not 0 <= i < len(node.children):
+                raise SequentError(f"invalid context path {tuple(path)}")
+            node = node.children[i]
         return node
 
     def replace_at(self, path: Sequence[int], new: "NestedSequent") -> "NestedSequent":
         if not path:
             return new
         i = path[0]
-        if i >= len(self.children):
+        if not 0 <= i < len(self.children):
             raise SequentError(f"invalid context path {tuple(path)}")
         kids = list(self.children)
         kids[i] = self.children[i].replace_at(path[1:], new)
@@ -87,10 +87,13 @@ class NestedSequent:
         for c in self.children:
             yield from c.formulas()
 
+    @cached
     def params(self) -> frozenset[Param]:
         ps: set[Param] = set()
-        for f in self.formulas():
+        for f in self.ante + self.succ:
             ps.update(params_of(f))
+        for c in self.children:
+            ps |= c.params()
         return frozenset(ps)
 
     def size(self) -> int:
@@ -109,15 +112,8 @@ def nkey(s: NestedSequent) -> str:
     return show_nested(s)
 
 
+@cached
 def show_nested(s: NestedSequent) -> str:
-    t = s.__dict__.get("_text_")
-    if t is None:
-        t = _render_nested(s)
-        object.__setattr__(s, "_text_", t)
-    return t
-
-
-def _render_nested(s: NestedSequent) -> str:
     def shw(f: Formula, ante: bool) -> str:
         t = show_formula(f)
         # an implication, or a quantifier whose scope runs to the end, in
@@ -514,48 +510,46 @@ def apply_nested_backward(
     return out
 
 
+_N_ANTE_SHAPE = {NRule.AND_L: And, NRule.OR_L: Or, NRule.NEG_L: Neg, NRule.IMP_L: Impl,
+                 NRule.EXISTS_L: Exists, NRule.FORALL_L: Forall}
+_N_SUCC_SHAPE = {NRule.AND_R: And, NRule.OR_R: Or, NRule.NEG_R: Neg, NRule.IMP_R: Impl,
+                 NRule.FORALL_R: Forall, NRule.EXISTS_R: Exists}
+
+
 def _nested_candidates(
     rule: NRule, goal: NestedSequent, node: NestedSequent
 ) -> Iterator[NWitness]:
-    used = {p.name for p in goal.params()}
+    """The witnesses worth trying for rule at the hole whose node is
+    `node`; only the first-order rules read the parameters of the goal."""
     if rule in (NRule.ID, NRule.ID_Q):
         for f in dict.fromkeys(node.ante):
             if isinstance(f, Atom) and f in node.succ:
                 yield NWitness(formula=f)
-    elif rule in (NRule.AND_L, NRule.OR_L, NRule.NEG_L, NRule.IMP_L):
-        shape = {NRule.AND_L: And, NRule.OR_L: Or, NRule.NEG_L: Neg,
-                 NRule.IMP_L: Impl}[rule]
-        for f in dict.fromkeys(node.ante):
-            if isinstance(f, shape):
-                yield NWitness(formula=f)
-    elif rule in (NRule.AND_R, NRule.OR_R, NRule.NEG_R, NRule.IMP_R):
-        shape = {NRule.AND_R: And, NRule.OR_R: Or, NRule.NEG_R: Neg,
-                 NRule.IMP_R: Impl}[rule]
-        for f in dict.fromkeys(node.succ):
-            if isinstance(f, shape):
-                yield NWitness(formula=f)
-    elif rule is NRule.LIFT:
+        return
+    if rule is NRule.LIFT:
         for f in dict.fromkeys(node.ante):
             for i in range(len(node.children)):
                 yield NWitness(formula=f, child=i)
-    elif rule is NRule.FORALL_R:
-        for f in dict.fromkeys(node.succ):
-            if isinstance(f, Forall):
-                yield NWitness(formula=f, param=fresh_params(set(used))[0])
-    elif rule is NRule.EXISTS_L:
-        for f in dict.fromkeys(node.ante):
-            if isinstance(f, Exists):
-                yield NWitness(formula=f, param=fresh_params(set(used))[0])
-    elif rule is NRule.FORALL_L:
-        for f in dict.fromkeys(node.ante):
-            if isinstance(f, Forall):
-                for a in _inst_params(goal):
-                    yield NWitness(formula=f, param=a)
-    elif rule is NRule.EXISTS_R:
-        for f in dict.fromkeys(node.succ):
-            if isinstance(f, Exists):
-                for a in _inst_params(goal):
-                    yield NWitness(formula=f, param=a)
+        return
+    if rule in _N_ANTE_SHAPE:
+        shape, side = _N_ANTE_SHAPE[rule], node.ante
+    else:
+        shape, side = _N_SUCC_SHAPE[rule], node.succ
+    fs = [f for f in dict.fromkeys(side) if isinstance(f, shape)]
+    if not fs:
+        return
+    if rule in (NRule.FORALL_R, NRule.EXISTS_L):
+        a = fresh_params({p.name for p in goal.params()})[0]
+        for f in fs:
+            yield NWitness(formula=f, param=a)
+    elif rule in (NRule.FORALL_L, NRule.EXISTS_R):
+        params = _inst_params(goal)
+        for f in fs:
+            for a in params:
+                yield NWitness(formula=f, param=a)
+    else:
+        for f in fs:
+            yield NWitness(formula=f)
 
 
 def _inst_params(goal: NestedSequent) -> list[Param]:

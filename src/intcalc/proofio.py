@@ -159,8 +159,8 @@ def nested_to_json(d: NestedDerivation) -> dict:
 def nested_from_json(data: dict) -> NestedDerivation:
     _check_node(data, witness_ints=("child",))
     hole = data.get("hole", [])
-    if not isinstance(hole, list) or not all(isinstance(i, int) for i in hole):
-        raise SequentError("proof node 'hole' is not a list of integers")
+    if not isinstance(hole, list) or not all(isinstance(i, int) and i >= 0 for i in hole):
+        raise SequentError("proof node 'hole' is not a list of non-negative integers")
     return NestedDerivation(
         parse_nested(data["sequent"]),
         NRule(data["rule"]),

@@ -136,6 +136,11 @@ def test_exit_code_matrix(tmp_path, capsys):
     ]):
         malformed.append(tmp_path / f"malformed{i}.json")
         malformed[-1].write_text(json.dumps(doc))
+    # a proof whose premises nest 900 deep: too deep for json.loads
+    deep = tmp_path / "deep.json"
+    head = json.dumps(node)[:-len("[]}")] + "["
+    deep.write_text('{"kind": "labelled", "proof": ' + head * 900 + json.dumps(node)
+                    + "]}" * 900 + "}")
     cases = [
         (["parse", "p & q"], 0),
         (["parse", "p &&& q"], 2),
@@ -157,6 +162,9 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["eliminate", str(proof)], 0),
         (["eliminate", str(tmp_path / "absent.json")], 2),
         (["fuzz-soundness", "--models", "5"], 0),
+        (["parse", "~" * 3000 + "p"], 2),
+        (["prove", "(" * 400 + "p" + ")" * 400], 2),
+        (["check", str(deep)], 2),
     ]
     cases += [([cmd, str(f)], 2) for f in malformed for cmd in ("check", "eliminate")]
     for argv, want in cases:

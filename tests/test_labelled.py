@@ -1,6 +1,22 @@
-import pytest
+import itertools
 
-from intcalc.formula import Atom, Impl, Param, parse_formula
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from intcalc.formula import (
+    And,
+    Atom,
+    Bot,
+    Exists,
+    Forall,
+    Impl,
+    Neg,
+    Or,
+    Param,
+    Var,
+    parse_formula,
+    subformulas,
+)
 from intcalc.labelled import (
     CALCULI,
     DomAtom,
@@ -11,6 +27,7 @@ from intcalc.labelled import (
     Rule,
     SequentError,
     Witness,
+    _candidate_witnesses,
     apply_backward,
     check_derivation,
     check_inference,
@@ -226,3 +243,107 @@ def test_lsub_checks():
     wit = Witness(label=w, label2=v)
     ok, msg = check_inference("g3int", Rule.LSUB, concl, [prem], wit)
     assert ok, msg
+
+
+# -- candidate enumeration: the index against a scan of the whole sequent ----
+
+_X = Var("x")
+_LEAVES = [p, q, Bot(), Atom("r", (Param("a"),)), Atom("r", (Param("b"),)),
+           Forall(_X, Atom("r", (_X,))), Exists(_X, And(p, Atom("r", (_X,))))]
+
+
+def _compound(sub):
+    return st.one_of(
+        st.sampled_from(_LEAVES), st.builds(Neg, sub), st.builds(And, sub, sub),
+        st.builds(Or, sub, sub), st.builds(Impl, sub, sub),
+        st.builds(Forall, st.just(_X), sub), st.builds(Exists, st.just(_X), sub),
+    )
+
+
+def _formulas():
+    """Every main connective about equally often, over small subformulas."""
+    return _compound(st.recursive(st.sampled_from(_LEAVES), _compound, max_leaves=3))
+
+
+@st.composite
+def _sequents(draw):
+    """Sequents over three labels with relational and domain atoms, and
+    formula occurrences drawn from a small pool so that they repeat; the
+    pool always has two atoms, so that several id instances can share a
+    relational atom."""
+    labels = st.sampled_from([w, v, u])
+    pool = [p, q] + draw(st.lists(_formulas(), min_size=1, max_size=4))
+    occs = st.lists(st.tuples(labels, st.sampled_from(pool)), max_size=8)
+    return LabelledSequent(
+        tuple(draw(st.lists(st.builds(RelAtom, labels, labels), max_size=6))),
+        tuple(draw(st.lists(st.builds(DomAtom, st.sampled_from([Param("a"), Param("b")]),
+                                      labels), max_size=4))),
+        tuple(draw(occs)),
+        tuple(draw(occs)),
+    )
+
+
+def _first_unused(stem, used):
+    return next(f"{stem}{i}" for i in itertools.count() if f"{stem}{i}" not in used)
+
+
+def _scanned_witnesses(rule, s):
+    """The candidates of `rule` by scanning every occurrence of the whole
+    sequent, in first-occurrence order."""
+    rel, dom = list(dict.fromkeys(s.rel)), list(dict.fromkeys(s.dom))
+    ante, succ = list(dict.fromkeys(s.ante)), list(dict.fromkeys(s.succ))
+    labels = ({r.w.name for r in rel} | {r.v.name for r in rel} | {d.w.name for d in dom}
+              | {l.name for (l, _) in ante + succ})
+    params = {d.a.name for d in dom} | {
+        t.name for (_, f) in ante + succ for g in subformulas(f) if isinstance(g, Atom)
+        for t in g.args if isinstance(t, Param)}
+    fresh_v, fresh_a = Label(_first_unused("v", labels)), Param(_first_unused("a", params))
+
+    def of(side, shape):
+        return [occ for occ in side if isinstance(occ[1], shape)]
+
+    R = Rule
+    if rule in (R.ID, R.ID_Q):
+        return [Witness(principal=(l, f), formula=(r.v, f), rel=r) for r in rel
+                for (l, f) in ante if l == r.w and isinstance(f, Atom) and (r.v, f) in succ]
+    if rule in (R.ID_STAR, R.ID_Q_STAR):
+        return [Witness(principal=o, formula=o) for o in of(ante, Atom) if o in succ]
+    simple = {R.BOT_L: (ante, Bot), R.AND_L: (ante, And), R.OR_L: (ante, Or),
+              R.NEG_L: (ante, Neg), R.IMP_L_STAR: (ante, Impl),
+              R.AND_R: (succ, And), R.OR_R: (succ, Or)}
+    if rule in simple:
+        return [Witness(principal=o) for o in of(*simple[rule])]
+    if rule in (R.IMP_R, R.NEG_R):
+        return [Witness(principal=o, label=fresh_v)
+                for o in of(succ, Impl if rule is R.IMP_R else Neg)]
+    if rule is R.FORALL_R:
+        return [Witness(principal=o, label=fresh_v, param=fresh_a) for o in of(succ, Forall)]
+    if rule is R.FORALL_R_STAR:
+        return [Witness(principal=o, param=fresh_a) for o in of(succ, Forall)]
+    if rule is R.EXISTS_L:
+        return [Witness(principal=o, param=fresh_a) for o in of(ante, Exists)]
+    if rule is R.FORALL_L_STAR:
+        return [Witness(principal=o, dom=d) for o in of(ante, Forall) for d in dom]
+    if rule in (R.EXISTS_R, R.EXISTS_R_STAR):
+        return [Witness(principal=o, dom=d) for o in of(succ, Exists) for d in dom]
+    if rule in (R.IMP_L, R.LIFT):
+        occs = of(ante, Impl) if rule is R.IMP_L else ante
+        return [Witness(principal=o, rel=r) for o in occs for r in rel if r.w == o[0]]
+    if rule is R.FORALL_L:
+        return [Witness(principal=o, rel=r, dom=d) for o in of(ante, Forall)
+                for r in rel if r.w == o[0] for d in dom if d.w == r.v]
+    if rule is R.REF:
+        return [Witness(label=Label(n)) for n in sorted(labels)]
+    if rule is R.TRA:
+        return [Witness(rel=r1, rel2=r2) for r1 in rel for r2 in rel if r1.v == r2.w]
+    if rule in (R.ND, R.CD):
+        return [Witness(rel=r, dom=d) for r in rel for d in dom
+                if d.w == (r.w if rule is R.ND else r.v)]
+    raise AssertionError(f"no scan for {rule}")
+
+
+@given(_sequents())
+@settings(max_examples=300, deadline=None)
+def test_indexed_candidates_match_a_full_scan(s):
+    for rule in sorted(set().union(*CALCULI.values()), key=lambda r: r.value):
+        assert list(_candidate_witnesses(rule, s)) == _scanned_witnesses(rule, s), rule

@@ -1,6 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from intcalc.formula import Atom, Impl, Neg, Param, parse_formula
+from intcalc.formula import (
+    And,
+    Atom,
+    Exists,
+    Forall,
+    Impl,
+    Neg,
+    Or,
+    Param,
+    parse_formula,
+    subformulas,
+)
 from intcalc.labelled import SequentError
 from intcalc.nested import (
     NESTED_CALCULI,
@@ -8,6 +20,7 @@ from intcalc.nested import (
     NWitness,
     NestedDerivation,
     NestedSequent,
+    _nested_candidates,
     apply_nested_backward,
     check_nested_derivation,
     check_nested_inference,
@@ -16,6 +29,9 @@ from intcalc.nested import (
     parse_nested,
     show_nested,
 )
+from intcalc.proofio import dump_proof, load_proof
+
+from test_labelled import _first_unused, _formulas
 
 p, q = Atom("p"), Atom("q")
 
@@ -109,6 +125,27 @@ def test_imp_r_then_id_checks_in_nint():
     )
     ok, where, msg = check_nested_derivation("nint", d)
     assert ok, msg
+
+
+def test_negative_hole_rejected():
+    # a negative index would address the last child: a second path to it
+    concl = parse_nested(" -> [p -> p]")
+    for path in [(-1,), (0, -1)]:
+        with pytest.raises(SequentError):
+            concl.at(path)
+        with pytest.raises(SequentError):
+            concl.replace_at(path, concl)
+
+    def proof(hole):
+        leaf = NestedDerivation(concl, NRule.ID, hole, (), NWitness(formula=p))
+        return NestedDerivation(parse_nested(" -> p -> p"), NRule.IMP_R, (), (leaf,),
+                                NWitness(formula=Impl(p, p)))
+
+    assert check_nested_derivation("nint", proof((0,)))[0]
+    assert check_nested_derivation("nint", proof((-1,)))[:2] == (False, (0,))
+    assert load_proof(dump_proof(proof((0,)), "nint"))[0] == proof((0,))
+    with pytest.raises(SequentError):
+        load_proof(dump_proof(proof((-1,)), "nint"))
 
 
 def test_bad_single_node_rejected():
@@ -212,3 +249,54 @@ def test_original_rules_are_star_instances():
 def test_apply_backward_unknown_calculus():
     with pytest.raises(SequentError, match="unknown nested calculus"):
         apply_nested_backward("nope", NRule.IMP_R, parse_nested(" -> p -> q"))
+
+
+# -- candidate enumeration at every hole, against a scan -----------------------
+
+@st.composite
+def _nested_sequents(draw):
+    """Trees of depth at most two whose nodes draw their formulas, with
+    repeats, from one small pool."""
+    pool = draw(st.lists(_formulas(), min_size=1, max_size=4))
+    fs = st.lists(st.sampled_from(pool), max_size=5).map(tuple)
+
+    def tree(depth):
+        kids = tuple(tree(depth - 1) for _ in range(draw(st.integers(0, 2)))) if depth else ()
+        return NestedSequent(draw(fs), draw(fs), kids)
+
+    return tree(2)
+
+
+def _scanned_nested(rule, goal, node):
+    """The candidates of `rule` at `node` by scanning its formulas, with the
+    parameters of the whole goal read off every formula of the tree."""
+    names = {t.name for f in goal.formulas() for g in subformulas(f) if isinstance(g, Atom)
+             for t in g.args if isinstance(t, Param)}
+    fresh = Param(_first_unused("a", names))
+    ante, succ = list(dict.fromkeys(node.ante)), list(dict.fromkeys(node.succ))
+    R = NRule
+    if rule in (R.ID, R.ID_Q):
+        return [NWitness(formula=f) for f in ante if isinstance(f, Atom) and f in succ]
+    if rule is R.LIFT:
+        return [NWitness(formula=f, child=i) for f in ante for i in range(len(node.children))]
+    shapes = {R.AND_L: (ante, And), R.OR_L: (ante, Or), R.NEG_L: (ante, Neg),
+              R.IMP_L: (ante, Impl), R.EXISTS_L: (ante, Exists), R.FORALL_L: (ante, Forall),
+              R.AND_R: (succ, And), R.OR_R: (succ, Or), R.NEG_R: (succ, Neg),
+              R.IMP_R: (succ, Impl), R.FORALL_R: (succ, Forall), R.EXISTS_R: (succ, Exists)}
+    side, shape = shapes[rule]
+    fs = [f for f in side if isinstance(f, shape)]
+    if rule in (R.FORALL_R, R.EXISTS_L):
+        return [NWitness(formula=f, param=fresh) for f in fs]
+    if rule in (R.FORALL_L, R.EXISTS_R):
+        params = [Param(n) for n in sorted(names)] + [fresh]
+        return [NWitness(formula=f, param=a) for f in fs for a in params]
+    return [NWitness(formula=f) for f in fs]
+
+
+@given(_nested_sequents())
+@settings(max_examples=200, deadline=None)
+def test_nested_candidates_match_a_scan_at_every_hole(s):
+    for hole in s.holes():
+        for rule in NRule:
+            got = list(_nested_candidates(rule, s, s.at(hole)))
+            assert got == _scanned_nested(rule, s, s.at(hole)), (rule, hole)

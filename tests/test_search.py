@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import intcalc.labelled
@@ -275,3 +277,72 @@ def test_trace_points_are_reached(monkeypatch):
     assert calls.get("nested_premises_for", 0) > 0
     assert check_derivation("g3int", d)[0]
     assert calls.get("check_inference", 0) > 0
+
+
+# -- proof shapes: the search order, pinned ------------------------------------
+
+def _imps(*fs):
+    return parse_formula(" -> ".join(f"({f})" for f in fs))
+
+
+def chain_forward(k):
+    """(p0 -> p1) -> ... -> (p{k-1} -> pk) -> p0 -> pk"""
+    return _imps(*[f"p{i} -> p{i + 1}" for i in range(k)], "p0", f"p{k}")
+
+
+def chain_backward(k):
+    """(p1 -> p0) -> ... -> (pk -> p{k-1}) -> pk -> p0"""
+    return _imps(*[f"p{i + 1} -> p{i}" for i in range(k)], f"p{k}", "p0")
+
+
+def lem_conjunction(k):
+    """~~(p1 | ~p1) & ... & ~~(pk | ~pk), left-nested"""
+    text = "~~(p1 | ~p1)"
+    for i in range(2, k + 1):
+        text = f"({text}) & ~~(p{i} | ~p{i})"
+    return parse_formula(text)
+
+
+def _rule_digest(d):
+    """The rules, holes and witnesses of the proof in preorder, hashed."""
+    text = "\n".join(f"{n.rule.value} {getattr(n, 'hole', '')} {n.witness!r}" for n in d.nodes())
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+# (proof nodes, height, rule digest) of the proof found at depth 4k + 4, for
+# k = 1, 2, ...
+PROOF_SHAPES = {
+    ("g3int", chain_forward): [
+        (9, 8, "463a066c4687"), (15, 13, "4b106205f8fd"), (22, 19, "13b1d3e10074"),
+        (30, 26, "c9dbf2abc19e"), (39, 34, "0b47178ea621"), (49, 43, "55979ad4bba6")],
+    ("g3int", chain_backward): [
+        (9, 8, "b838e3da096e"), (15, 13, "eccd8158d30f"), (22, 19, "4c5a3329b6e5"),
+        (30, 26, "4b5b7c83b524"), (39, 34, "2adf19dbc119"), (49, 43, "b00df258275d")],
+    ("g3int", lem_conjunction): [
+        (13, 11, "9f7da1d2ef87"), (26, 12, "088756ead741"), (39, 13, "b48bdd9de8e7"),
+        (52, 14, "38277ef501f5")],
+    ("nint-star", chain_forward): [
+        (9, 6, "35005671d8e6"), (27, 12, "c82d2280e337"), (49, 17, "80e0986b243c")],
+    ("nint-star", chain_backward): [
+        (9, 6, "073f4f66a388"), (20, 12, "f5b6910a406b"), (31, 17, "d17624c844f1")],
+    ("nint-star", lem_conjunction): [
+        (10, 10, "536ffac1f2c4"), (21, 11, "ecf94079fa24"), (32, 12, "fc7baa79de42"),
+        (43, 13, "6dee1d44eb98")],
+}
+
+
+@pytest.mark.parametrize("calc,family", list(PROOF_SHAPES),
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_proof_shapes_are_pinned(calc, family):
+    # the search is deterministic: a change in the order it tries rules or
+    # candidates in shows up as another proof
+    for k, want in enumerate(PROOF_SHAPES[calc, family], start=1):
+        f = family(k)
+        if calc == "g3int":
+            goal = LabelledSequent(succ=((Label("w"), convert_signature(f, "toBot")),))
+        else:
+            goal = NestedSequent(succ=(f,))
+        d = prove(goal, SearchConfig(calc, 4 * k + 4))
+        assert d is not None and checks(calc, d), (calc, family.__name__, k)
+        got = (sum(1 for _ in d.nodes()), d.height(), _rule_digest(d))
+        assert got == want, (calc, family.__name__, k)
