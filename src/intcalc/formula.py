@@ -28,16 +28,56 @@ class FormulaError(ValueError):
     """Raised for malformed formula text or misuse of the reserved atom."""
 
 
-@dataclass(frozen=True)
-class Param:
+_INTERNED: dict = {}
+
+
+class Interned(type):
+    """Metaclass of the hash-consed name classes (Filliâtre & Conchon,
+    "Type-safe modular hash-consing", 2006).
+
+    A constructor call returns the one instance with its class and field
+    values, kept in one table keyed by the value tuple ``(cls, *fields)``.
+    Equal values are therefore the same object: ``==`` is ``is`` and the
+    hash is the C-level ``object.__hash__``.  The table is keyed by value,
+    not by the identity of the fields, since equal strings need not be the
+    same object.  It is never emptied; the names a proof search mints
+    (``v0, v1, ...``, ``a0, ...``) and the atoms over them stay few.
+
+    A class declares itself ``@dataclass(frozen=True, eq=False,
+    slots=True)`` and derives from `InternedValue`, which re-interns
+    copies and unpickled instances.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # bind keywords to their fields
+            obj = super().__call__(*args, **kwargs)
+            args = tuple(getattr(obj, f) for f in cls.__match_args__)
+        key = (cls, *args)
+        obj = _INTERNED.get(key)
+        if obj is None:
+            obj = _INTERNED[key] = super().__call__(*args)
+        return obj
+
+
+class InternedValue(metaclass=Interned):
+    __slots__ = ()
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # returns the interned instance
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Param(InternedValue):
     name: str
 
     def __repr__(self) -> str:
         return f"#{self.name}"
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, slots=True)
+class Var(InternedValue):
     name: str
 
     def __repr__(self) -> str:
@@ -110,8 +150,14 @@ BOT = Bot()
 def cache_hash(cls):
     """Memoize the generated dataclass hash on the instance.
 
-    Formula trees are hashed constantly by the multiset encodings; without
-    this, every hash walks the whole tree.
+    Formula trees and sequents are hashed constantly by the multiset
+    encodings and the proof caches; without this, every hash walks the
+    whole tree.  They keep structural equality: interning them as well
+    (`Interned`) would make their integer id the natural sort key and so
+    change the canonical order and every proof, and on the benchmark's
+    `decide` workload its global table raised peak memory by about 10 %.
+    The small name values (`Param`, `Var`, labels, relational and domain
+    atoms) are interned instead and hash by identity.
     """
     base = cls.__hash__
 
@@ -126,7 +172,7 @@ def cache_hash(cls):
     return cls
 
 
-for _cls in (Param, Var, Bot, Atom, Neg, And, Or, Impl, Forall, Exists):
+for _cls in (Bot, Atom, Neg, And, Or, Impl, Forall, Exists):
     cache_hash(_cls)
 
 
@@ -135,6 +181,8 @@ def cached(fn):
 
     For the functions that walk a whole formula or sequent and that proof
     search calls many times on the same one (its text, parameters, labels).
+    The wrapper's ``slot`` names the instance attribute that holds the
+    value, for hot loops that read the cache without the extra call.
     """
     key = f"_{fn.__name__}_"
 
@@ -146,6 +194,7 @@ def cached(fn):
             object.__setattr__(x, key, v)
         return v
 
+    wrapper.slot = key
     return wrapper
 
 
@@ -503,6 +552,5 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def fkey(f: Formula) -> str:
-    """Total order key for formulas (used by the multiset encodings)."""
-    return show_formula(f)
+# Total order key for formulas (used by the multiset encodings): their text.
+fkey = show_formula

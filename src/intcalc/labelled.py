@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -37,13 +38,13 @@ from .formula import (
     Formula,
     FormulaError,
     Impl,
+    InternedValue,
     Neg,
     Or,
     Param,
     Var,
     cache_hash,
     cached,
-    fkey,
     params_of,
     parse_formula,
     show_formula,
@@ -55,27 +56,36 @@ class SequentError(ValueError):
     """Raised for malformed sequent text or ill-formed rule applications."""
 
 
-@dataclass(frozen=True)
-class Label:
+@dataclass(frozen=True, eq=False, slots=True)
+class Label(InternedValue):
     name: str
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class RelAtom:
+@dataclass(frozen=True, eq=False, slots=True)
+class RelAtom(InternedValue):
     w: Label
     v: Label
+    # the canonical sort key, computed once when the atom is interned
+    key: tuple[str, str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.w.name, self.v.name))
 
     def __repr__(self) -> str:
         return f"{self.w}<={self.v}"
 
 
-@dataclass(frozen=True)
-class DomAtom:
+@dataclass(frozen=True, eq=False, slots=True)
+class DomAtom(InternedValue):
     a: Param
     w: Label
+    key: tuple[str, str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.a.name, self.w.name))
 
     def __repr__(self) -> str:
         return f"{self.a.name} in D({self.w})"
@@ -83,21 +93,14 @@ class DomAtom:
 
 LabelledFormula = tuple[Label, Formula]
 
-
-def _rel_key(r: RelAtom):
-    return (r.w.name, r.v.name)
-
-
-def _dom_key(d: DomAtom):
-    return (d.a.name, d.w.name)
+_atom_key = operator.attrgetter("key")
+_TEXT = show_formula.slot
 
 
 def _lf_key(lf: LabelledFormula):
-    return (lf[0].name, fkey(lf[1]))
-
-
-def _sorted(items, key):
-    return tuple(sorted(items, key=key))
+    # label name, then the formula's text, read from its cache on the formula
+    f = lf[1]
+    return (lf[0].name, f.__dict__.get(_TEXT) or show_formula(f))
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,10 @@ class LabelledSequent:
     succ: tuple[LabelledFormula, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rel", _sorted(self.rel, _rel_key))
-        object.__setattr__(self, "dom", _sorted(self.dom, _dom_key))
-        object.__setattr__(self, "ante", _sorted(self.ante, _lf_key))
-        object.__setattr__(self, "succ", _sorted(self.succ, _lf_key))
+        object.__setattr__(self, "rel", tuple(sorted(self.rel, key=_atom_key)))
+        object.__setattr__(self, "dom", tuple(sorted(self.dom, key=_atom_key)))
+        object.__setattr__(self, "ante", tuple(sorted(self.ante, key=_lf_key)))
+        object.__setattr__(self, "succ", tuple(sorted(self.succ, key=_lf_key)))
 
     # -- multiset edits (each returns a new sequent) --
     def add(self, rel=(), dom=(), ante=(), succ=()) -> "LabelledSequent":
@@ -162,10 +165,7 @@ class LabelledSequent:
     def atom_names(self) -> frozenset[str]:
         from .formula import atoms_of
 
-        names: set[str] = set()
-        for (_, f) in self.ante + self.succ:
-            names |= atoms_of(f)
-        return names
+        return frozenset().union(*(atoms_of(f) for (_, f) in self.ante + self.succ))
 
     def is_subset_of(self, other: "LabelledSequent") -> bool:
         def sub(xs, ys):
@@ -188,8 +188,7 @@ class LabelledSequent:
         return show_sequent(self)
 
 
-for _cls in (Label, RelAtom, DomAtom, LabelledSequent):
-    cache_hash(_cls)
+cache_hash(LabelledSequent)
 
 
 def show_sequent(s: LabelledSequent) -> str:
@@ -325,6 +324,9 @@ def fresh_params(used: set[str], n: int = 1, stem: str = "a") -> list[Param]:
 # rules and calculi
 
 class Rule(enum.Enum):
+    # members are singletons: hash by identity in C, not by name in Python
+    __hash__ = object.__hash__
+
     ID = "id"
     ID_Q = "id_q"
     BOT_L = "bot_l"

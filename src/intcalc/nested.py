@@ -241,6 +241,9 @@ def edit(
 # calculi
 
 class NRule(enum.Enum):
+    # members are singletons: hash by identity in C, not by name in Python
+    __hash__ = object.__hash__
+
     ID = "id"
     ID_Q = "id_q"
     AND_L = "and_l"

@@ -46,6 +46,16 @@ sequent: the proof caches keep their sequents alive, and an index on each
 of them raised the peak memory of the benchmark's `families` workload
 from 24 MB to 34 MB.
 
+The small values a search handles most are interned (`formula.Interned`):
+labels, relational and domain atoms, parameters and bound variables.
+Equal ones are the same object, so they compare and hash by identity in
+C, and relational and domain atoms carry their sort key, computed once.
+A sequent's canonical sort then reads these keys and each formula's
+cached text, and the rule enums hash by identity too.  Formulas
+themselves keep structural equality and a cached hash: their text is the
+canonical order the proofs depend on, and a global formula table raised
+the peak memory of the `decide` workload by about 10 %.
+
 `decide_prop` looks for a small rooted countermodel first
 (`kripke.rooted_countermodel`) and runs proof search only when there is
 none.

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from intcalc.formula import (
     Param,
     Var,
     parse_formula,
+    show_formula,
     subformulas,
 )
 from intcalc.labelled import (
@@ -36,6 +39,8 @@ from intcalc.labelled import (
     show_sequent,
     substitute_sequent,
 )
+from intcalc.proofio import dump_proof, load_proof
+from intcalc.search import SearchConfig, prove
 
 w, v, u, z = Label("w"), Label("v"), Label("u"), Label("z")
 p, q = Atom("p"), Atom("q")
@@ -347,3 +352,98 @@ def _scanned_witnesses(rule, s):
 def test_indexed_candidates_match_a_full_scan(s):
     for rule in sorted(set().union(*CALCULI.values()), key=lambda r: r.value):
         assert list(_candidate_witnesses(rule, s)) == _scanned_witnesses(rule, s), rule
+
+
+# -- interned names: labels, relational and domain atoms, parameters ----------
+
+_NAMES = [Label("w"), RelAtom(w, v), DomAtom(Param("a"), w), Param("a"), Var("x")]
+
+
+@pytest.mark.parametrize("x", _NAMES, ids=repr)
+def test_copies_keep_identity(x):
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(x, protocol)) is x
+
+
+def test_interning_is_by_value():
+    joined = "".join(["w", str(1)])  # built at run time: another str object
+    assert Label(joined) is Label("w1")
+    assert Label(name="w") is Label("w") is w
+    assert RelAtom(w=w, v=v) is RelAtom(w, v=v) is RelAtom(w, v)
+    assert DomAtom(a=Param("a"), w=w) is DomAtom(Param(name="a"), w)
+    assert RelAtom(w, v) is not RelAtom(v, w)
+    assert Param("a") is not Var("a") and Param("a") != Var("a")
+    assert Label("a") != Param("a")
+    assert parse_formula("forall x. r(x)").var is Var("x")
+
+    s = parse_sequent("w<=v, a in D(w), w: p(#a) => v: p(#a)")
+    assert s.rel[0] is RelAtom(w, v)
+    assert s.dom[0] is DomAtom(Param("a"), w)
+    assert s.ante[0][0] is w and s.ante[0][1].args[0] is Param("a")
+    t = substitute_sequent(s, "label", u, v)
+    assert t.rel[0] is RelAtom(w, u) and t.succ[0][0] is u
+    t = substitute_sequent(s, "param", Param("b"), Param("a"))
+    assert t.dom[0] is DomAtom(Param("b"), w) and t.succ[0][1].args[0] is Param("b")
+
+
+def test_proof_file_round_trip_interns():
+    goal = parse_sequent("a in D(w) => w: (forall x. r(x)) -> forall y. r(y)")
+    d = prove(goal, SearchConfig("g3intqc", 10))
+    back, _, _ = load_proof(dump_proof(d, "g3intqc"))
+    names = ("label", "label2", "param", "param2", "rel", "rel2", "dom")
+    for a, b in zip(d.nodes(), back.nodes(), strict=True):
+        sa, sb = a.conclusion, b.conclusion
+        assert all(x is y for x, y in zip(sa.rel + sa.dom, sb.rel + sb.dom, strict=True))
+        assert all(x[0] is y[0] for x, y in zip(sa.ante + sa.succ, sb.ante + sb.succ,
+                                                strict=True))
+        assert all(getattr(a.witness, n) is getattr(b.witness, n) for n in names)
+
+
+def test_atom_names_is_frozen():
+    names = parse_sequent("w: p & r(#a) => v: q, v: p").atom_names()
+    assert type(names) is frozenset and names == {"p", "q", "r"}
+
+
+# -- the canonical order, on which the proofs found depend --------------------
+
+def _in_canonical_order(s):
+    def ordered(xs, key):
+        return list(xs) == sorted(xs, key=key)
+
+    def by_text(lf):
+        return (lf[0].name, show_formula(lf[1]))
+
+    return (ordered(s.rel, lambda r: (r.w.name, r.v.name))
+            and ordered(s.dom, lambda d: (d.a.name, d.w.name))
+            and ordered(s.ante, by_text) and ordered(s.succ, by_text))
+
+
+def test_canonical_order_is_pinned():
+    s = parse_sequent("w<=v, v<=u, u<=w, w<=u, b in D(w), a in D(v), a in D(u), "
+                      "w: q, v: p, w: p -> q, w: p & q, u: r(#b) "
+                      "=> w: q, v: p, u: ~p, u: false")
+    assert show_sequent(s) == (
+        "u<=w, v<=u, w<=u, w<=v, a in D(u), a in D(v), b in D(w), "
+        "u: r(#b), v: p, w: p & q, w: p -> q, w: q => u: false, u: ~p, v: p, w: q")
+
+
+@given(_sequents(), _sequents(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_every_construction_is_canonical(s, extra, rng):
+    assert _in_canonical_order(s)
+    assert LabelledSequent(*(tuple(reversed(part)) for part in
+                             (s.rel, s.dom, s.ante, s.succ))) == s
+    grown = s.add(extra.rel, extra.dom, extra.ante, extra.succ)
+    assert _in_canonical_order(grown)
+
+    def some(xs):
+        return rng.sample(xs, rng.randint(0, len(xs)))
+
+    shrunk = grown.remove(some(grown.rel), some(grown.dom), some(grown.ante), some(grown.succ))
+    assert _in_canonical_order(shrunk)
+    for new, old in ((z, w), (w, v), (Label("a9"), u)):
+        assert _in_canonical_order(substitute_sequent(grown, "label", new, old))
+    for new, old in ((Param("c"), Param("a")), (Param("a"), Param("b"))):
+        assert _in_canonical_order(substitute_sequent(grown, "param", new, old))
