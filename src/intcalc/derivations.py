@@ -288,11 +288,6 @@ def generalized_init_refl(f: Formula, w: Label) -> LabelledDerivation:
 # list of rule ids of the axiom-specific part, bottom-up, excluding the
 # generalized-initial subderivations.
 
-def _mk_t(rule, concl, prems, wit, skel, skeleton):
-    skeleton.append(rule)
-    return _mk(CALC, rule, concl, prems, wit)
-
-
 def forall_instantiation_axiom(body: Formula, x: Var, a: Param):
     """params in D(w) => w: (forall x. body) -> body[a/x]"""
     f_all = Forall(x, body)

@@ -536,6 +536,11 @@ def _upset_counts(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
+def _slot_count(atom_list, domain_size: int, arity: Mapping[str, int]) -> int:
+    """How many atom instances a valuation assigns an up-set to."""
+    return sum(max(1, domain_size) ** arity.get(name, 0) for name in atom_list)
+
+
 def count_models(
     max_worlds: int,
     atoms: Iterable[str],
@@ -543,14 +548,35 @@ def count_models(
     arity: Mapping[str, int] | None = None,
 ) -> int:
     """Size of the exhaustive enumeration (one upset per atom slot)."""
-    atom_list = sorted(set(atoms))
-    arity = arity or {}
-    slots = sum(max(1, domain_size) ** arity.get(name, 0) for name in atom_list)
+    slots = _slot_count(set(atoms), domain_size, arity or {})
     return sum(
         times * k**slots
         for n in range(1, max_worlds + 1)
         for k, times in _upset_counts(n)
     )
+
+
+# OEIS A000798: the number of preorders on n labelled points, n = 0..8; it
+# grows with n, so the last entry bounds every larger n from below
+_PREORDER_COUNTS = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354)
+
+
+def _check_budget(max_worlds, atom_list, domain_size, arity) -> None:
+    """Raises BudgetExceeded when the exhaustive enumeration would yield
+    more than MODEL_BUDGET models.  Counting a size builds all its
+    preorders, so the sizes are first bounded from below: every preorder
+    has at least two up-sets (none and all worlds)."""
+    slots = _slot_count(atom_list, domain_size, arity)
+    least = 0
+    for n in range(1, max_worlds + 1):
+        least += _PREORDER_COUNTS[min(n, len(_PREORDER_COUNTS) - 1)] * 2**slots
+        if least > MODEL_BUDGET:
+            raise BudgetExceeded(
+                f"at least {least} models up to {n} worlds exceed the {MODEL_BUDGET} budget"
+            )
+    total = count_models(max_worlds, atom_list, domain_size, arity)
+    if total > MODEL_BUDGET:
+        raise BudgetExceeded(f"{total} models exceed the {MODEL_BUDGET} budget")
 
 
 def enumerate_models(
@@ -561,7 +587,6 @@ def enumerate_models(
     seed: int = 0,
     count: int = 0,
     arity: Mapping[str, int] | None = None,
-    allow_large: bool = False,
 ) -> Iterator[KripkeModel]:
     """Stream finite models.
 
@@ -571,7 +596,8 @@ def enumerate_models(
     arity per atom from `arity`, default 0).  When every atom is
     propositional, the models with the same number of worlds share one
     compiled `_Family` (cached, a few at a time), over which `satisfies`
-    evaluates formulas.
+    evaluates formulas.  More than MODEL_BUDGET models raise BudgetExceeded
+    before the first is yielded.
 
     random: `count` pseudo-random valid models, deterministic per seed.
     """
@@ -580,11 +606,7 @@ def enumerate_models(
     atom_list = sorted(set(atoms))
     arity = arity or {}
     if mode == "exhaustive":
-        est = count_models(max_worlds, atom_list, domain_size, arity)
-        if est > MODEL_BUDGET and not allow_large:
-            raise BudgetExceeded(
-                f"{est} models exceeds the {MODEL_BUDGET} budget; pass allow_large to override"
-            )
+        _check_budget(max_worlds, atom_list, domain_size, arity)
         yield from _enumerate_exhaustive(max_worlds, atom_list, domain_size, arity)
     elif mode == "random":
         yield from _generate_random(max_worlds, atom_list, domain_size, arity, seed, count)

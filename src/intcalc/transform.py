@@ -6,9 +6,10 @@ nested translation.
 Every rewrite this module performs is re-checked node by node as it is
 built; a failed check is an internal invariant breach, not a user error.
 
-The elimination strategy always rewrites the topmost offending inference
-(ref, tra, nd, cd), so each step works on a subproof free of that rule,
-and the (rule count, height) measure strictly decreases.
+Elimination of ref, tra, nd and cd follows the paper's induction in one
+post-order pass (`_eliminate`): a rule is first removed from the subproofs
+above an inference, then from the inference itself, so each step works on
+a subproof free of that rule and leaves none behind.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .labelled import (
     STRUCTURAL,
     SequentError,
     Witness,
+    _multiset_diff,
     check_derivation,
     check_inference,
     fresh_labels,
@@ -113,43 +115,28 @@ def _no_tags(d: LabelledDerivation) -> None:
             )
 
 
-def _witness_sub_label(w: Witness, new: Label, old: Label) -> Witness:
-    def ml(l):
-        return new if l == old else l
-
-    def mr(r):
-        return None if r is None else RelAtom(ml(r.w), ml(r.v))
-
-    def md(d):
-        return None if d is None else DomAtom(d.a, ml(d.w))
-
-    def mf(lf):
-        return None if lf is None else (ml(lf[0]), lf[1])
-
-    return Witness(
-        principal=mf(w.principal), rel=mr(w.rel), rel2=mr(w.rel2), dom=md(w.dom),
-        label=None if w.label is None else ml(w.label),
-        label2=None if w.label2 is None else ml(w.label2),
-        param=w.param, param2=w.param2, formula=mf(w.formula),
-    )
+def _same(x):
+    return x
 
 
-def _witness_sub_param(w: Witness, new: Param, old: Param) -> Witness:
-    def mp(p):
-        return new if p == old else p
+def _map_witness(w: Witness, label=_same, param=_same, formula=_same) -> Witness:
+    """w with `label`, `param` and `formula` applied to every label,
+    parameter and formula in it."""
+    def opt(f, x):
+        return None if x is None else f(x)
 
-    def md(d):
-        return None if d is None else DomAtom(mp(d.a), d.w)
+    def lf(o):
+        return (label(o[0]), formula(o[1]))
 
-    def mf(lf):
-        return None if lf is None else (lf[0], rename_param(lf[1], new, old))
+    def rel(r):
+        return RelAtom(label(r.w), label(r.v))
 
     return Witness(
-        principal=mf(w.principal), rel=w.rel, rel2=w.rel2, dom=md(w.dom),
-        label=w.label, label2=w.label2,
-        param=None if w.param is None else mp(w.param),
-        param2=None if w.param2 is None else mp(w.param2),
-        formula=mf(w.formula),
+        principal=opt(lf, w.principal), rel=opt(rel, w.rel), rel2=opt(rel, w.rel2),
+        dom=opt(lambda d: DomAtom(param(d.a), label(d.w)), w.dom),
+        label=opt(label, w.label), label2=opt(label, w.label2),
+        param=opt(param, w.param), param2=opt(param, w.param2),
+        formula=opt(lf, w.formula),
     )
 
 
@@ -164,24 +151,19 @@ def substitute_derivation(
     _no_tags(d)
     used = d.all_labels() | d.all_params() | {getattr(new, "name"), getattr(old, "name")}
 
+    clash = {new, old}
+
+    def sub(x):
+        return new if x == old else x
+
+    maps = (dict(label=sub) if kind == "label"
+            else dict(param=sub, formula=lambda f: rename_param(f, new, old)))
+
     def go(n: LabelledDerivation) -> LabelledDerivation:
-        w = n.witness
-        if kind == "label" and n.rule in EIGEN_LABEL and w.label in (new, old):
-            fresh = fresh_labels(used)[0]
-            n = _rename_eigen_label(n, fresh, calc)
-            w = n.witness
-        if kind == "param" and n.rule in EIGEN_PARAM and w.param in (new, old):
-            fresh = fresh_params(used)[0]
-            n = _rename_eigen_param(n, fresh, calc)
-            w = n.witness
+        n = _rename_eigen(n, clash, used, calc)
         prem = tuple(go(p) for p in n.premises)
         concl = substitute_sequent(n.conclusion, kind, new, old)
-        nw = (
-            _witness_sub_label(w, new, old)
-            if kind == "label"
-            else _witness_sub_param(w, new, old)
-        )
-        return _mk(calc, n.rule, concl, prem, nw)
+        return _mk(calc, n.rule, concl, prem, _map_witness(n.witness, **maps))
 
     out = go(d)
     if out.height() != d.height():
@@ -189,24 +171,17 @@ def substitute_derivation(
     return out
 
 
-def _rename_eigen_label(n: LabelledDerivation, fresh: Label, calc: str) -> LabelledDerivation:
-    old = n.witness.label
-    prem = tuple(
-        substitute_derivation(p, "label", fresh, old, calc) for p in n.premises
-    )
-    return _mk(
-        calc, n.rule, n.conclusion, prem, dc_replace(n.witness, label=fresh)
-    )
-
-
-def _rename_eigen_param(n: LabelledDerivation, fresh: Param, calc: str) -> LabelledDerivation:
-    old = n.witness.param
-    prem = tuple(
-        substitute_derivation(p, "param", fresh, old, calc) for p in n.premises
-    )
-    return _mk(
-        calc, n.rule, n.conclusion, prem, dc_replace(n.witness, param=fresh)
-    )
+def _rename_eigen(n: LabelledDerivation, clash: set, used: set[str], calc: str) -> LabelledDerivation:
+    """n with its eigenlabel, then its eigenparameter, renamed to a name
+    fresh for `used` where it is in `clash`."""
+    for kind, eigen, fresh in (("label", EIGEN_LABEL, fresh_labels),
+                               ("param", EIGEN_PARAM, fresh_params)):
+        old = getattr(n.witness, kind)
+        if n.rule in eigen and old in clash:
+            new = fresh(used)[0]
+            prem = tuple(substitute_derivation(p, kind, new, old, calc) for p in n.premises)
+            n = _mk(calc, n.rule, n.conclusion, prem, dc_replace(n.witness, **{kind: new}))
+    return n
 
 
 def weaken_derivation(
@@ -226,21 +201,13 @@ def weaken_derivation(
     if not (rel or dom or ante or succ):
         return d
     extra = LabelledSequent(rel, dom, ante, succ)
-    clash_labels = {l for l in extra.labels()}
-    clash_params = {p for p in extra.params()}
-    used = d.all_labels() | d.all_params()
-    used |= {l.name for l in clash_labels} | {p.name for p in clash_params}
+    clash = extra.labels() | extra.params()
+    used = d.all_labels() | d.all_params() | {x.name for x in clash}
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
-        w = n.witness
-        if n.rule in EIGEN_LABEL and w.label in clash_labels:
-            n = _rename_eigen_label(n, fresh_labels(used)[0], calc)
-            w = n.witness
-        if n.rule in EIGEN_PARAM and w.param in clash_params:
-            n = _rename_eigen_param(n, fresh_params(used)[0], calc)
-            w = n.witness
+        n = _rename_eigen(n, clash, used, calc)
         prem = tuple(go(p) for p in n.premises)
-        return _mk(calc, n.rule, n.conclusion.add(rel, dom, ante, succ), prem, w)
+        return _mk(calc, n.rule, n.conclusion.add(rel, dom, ante, succ), prem, n.witness)
 
     out = go(d)
     if out.height() != d.height():
@@ -287,11 +254,11 @@ def invert_derivation(
     target = want[premise_index]
     if rule not in CONSUMES:
         # the rule keeps its conclusion in its premises
-        extra_rel = _diff(target.rel, d.conclusion.rel)
-        extra_dom = _diff(target.dom, d.conclusion.dom)
-        extra_ante = _diff(target.ante, d.conclusion.ante)
-        extra_succ = _diff(target.succ, d.conclusion.succ)
-        return weaken_derivation(d, calc, extra_rel, extra_dom, extra_ante, extra_succ)
+        c = d.conclusion
+        return weaken_derivation(
+            d, calc, _multiset_diff(target.rel, c.rel), _multiset_diff(target.dom, c.dom),
+            _multiset_diff(target.ante, c.ante), _multiset_diff(target.succ, c.succ),
+        )
     used = d.all_labels() | d.all_params()
     pw = _eigen_witness(rule, witness.principal, used, witness.label, witness.param)
     plan = (_pieces(rule, pw)[premise_index], pw)
@@ -301,17 +268,6 @@ def invert_derivation(
             f"inversion produced {out.conclusion!r}, wanted {target!r}"
         )
     return out
-
-
-def _diff(big, small):
-    have = list(small)
-    res = []
-    for x in big:
-        if x in have:
-            have.remove(x)
-        else:
-            res.append(x)
-    return tuple(res)
 
 
 def _apply_plans(s: LabelledSequent, side: str, occs) -> LabelledSequent:
@@ -469,55 +425,37 @@ def _contract_principal(
 # ---------------------------------------------------------------------------
 # structural-rule elimination
 
-def _find_topmost(d: LabelledDerivation, rules) -> tuple[int, ...] | None:
-    """Path to an occurrence with no occurrence of `rules` above it."""
-    for i, p in enumerate(d.premises):
-        sub = _find_topmost(p, rules)
-        if sub is not None:
-            return (i,) + sub
-    if d.rule in rules:
-        return ()
-    return None
-
-
-def _node_at(d: LabelledDerivation, path) -> LabelledDerivation:
-    for i in path:
-        d = d.premises[i]
-    return d
-
-
-def _replace_at(d: LabelledDerivation, path, new: LabelledDerivation, calc: str):
-    if not path:
-        return new
-    prem = list(d.premises)
-    prem[path[0]] = _replace_at(prem[path[0]], path[1:], new, calc)
-    return _mk(calc, d.rule, d.conclusion, tuple(prem), d.witness)
-
-
 def _eliminate(d: LabelledDerivation, calc: str, rules: tuple, steps=None) -> LabelledDerivation:
-    """Rewrites the topmost occurrence of `rules` until none is left.
+    """Removes every occurrence of `rules`, by induction on the derivation:
+    first from the subproofs above an inference, then from the inference
+    itself.
 
-    Each step replaces the subproof at the occurrence by one without it
-    (`_ref_step`, `_tra_step`, `_nd_step`) and appends its note, if any, to
-    `steps`.  The number of occurrences must fall with every step; it is
-    counted on the replaced subtree, since `_replace_at` rebuilds the path
-    to it with the same rules.
+    A node whose premises changed is rebuilt and re-checked.  A node whose
+    rule is in `rules` then stands on premises free of them, and its step
+    (`_ref_step`, `_tra_step`, `_nd_step`) replaces it by a subproof of the
+    same sequent without any occurrence, so the number of occurrences falls
+    with every step; the step's note, if any, is appended to `steps`.
+    Steps run leftmost-deepest first.
     """
     _no_tags(d)
     kind = "/".join(r.value for r in rules)
-    while True:
-        path = _find_topmost(d, rules)
-        if path is None:
-            return d
-        node = _node_at(d, path)
-        new_sub, note = _step(node, calc)
-        if new_sub.conclusion != node.conclusion:
+
+    def go(n: LabelledDerivation) -> LabelledDerivation:
+        prem = tuple(go(p) for p in n.premises)
+        if any(a is not b for a, b in zip(prem, n.premises)):
+            n = _mk(calc, n.rule, n.conclusion, prem, n.witness)
+        if n.rule not in rules:
+            return n
+        new, note = _step(n, calc)
+        if new.conclusion != n.conclusion:
             raise TransformError(f"{kind} elimination changed the sequent")
-        if _count(new_sub, rules) >= _count(node, rules):
+        if _count(new, rules):
             raise TransformError(f"{kind} elimination failed to decrease the measure")
-        d = _replace_at(d, path, new_sub, calc)
         if steps is not None and note is not None:
             steps.append(note)
+        return new
+
+    return go(d)
 
 
 def _count(d: LabelledDerivation, rules) -> int:
@@ -776,13 +714,6 @@ def _conv_sequent(s: LabelledSequent) -> LabelledSequent:
     )
 
 
-def _conv_witness(w: Witness) -> Witness:
-    def mf(lf):
-        return None if lf is None else (lf[0], _conv_formula(lf[1]))
-
-    return dc_replace(w, principal=mf(w.principal), formula=mf(w.formula))
-
-
 def expand_derived_rules(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     """Replaces id, id_q, bot_l, imp_l, forall_l, forall_r and exists_r by
     their expansions over the treelike rule set, converting the signature
@@ -798,7 +729,7 @@ def expand_derived_rules(d: LabelledDerivation, calc: str) -> LabelledDerivation
             )
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
-        w = _conv_witness(n.witness)
+        w = _map_witness(n.witness, formula=_conv_formula)
         concl = _conv_sequent(n.conclusion)
         prem = tuple(go(p) for p in n.premises)
 
@@ -867,7 +798,8 @@ def expand_derived_rules(d: LabelledDerivation, calc: str) -> LabelledDerivation
 # ---------------------------------------------------------------------------
 # the full pipeline
 
-_PROP_IN = ("g3int", "g3int-ext")
+_PROP_IN = ("g3int", "g3int-ext", "g3int-tree")
+_FO_IN = ("g3intqc", "intqcl", "intqcl-tree")
 
 
 def eliminate_structural(
@@ -875,12 +807,19 @@ def eliminate_structural(
 ) -> tuple[LabelledDerivation, TransformReport]:
     """G3Int(QC) derivation -> treelike-rule-set derivation.
 
-    Eliminates ref/tra (then nd/cd in the first-order case) topmost-first,
-    then expands the remaining derived rules; on theorem-shaped end
-    sequents the output is verified treelike at every node.
+    `calc` is the calculus of d: g3int, g3int-ext or g3int-tree
+    (propositional), g3intqc, intqcl or intqcl-tree (first-order); any other
+    name is a SequentError.  Eliminates ref/tra (then nd/cd in the
+    first-order case) topmost-first, then expands the remaining derived
+    rules; on theorem-shaped end sequents the output is verified treelike
+    at every node.
     """
-    ambient = "g3int-ext" if calc in _PROP_IN else "intqcl"
-    target = "g3int-tree" if calc in _PROP_IN else "intqcl-tree"
+    if calc in _PROP_IN:
+        ambient, target = "g3int-ext", "g3int-tree"
+    elif calc in _FO_IN:
+        ambient, target = "intqcl", "intqcl-tree"
+    else:
+        raise SequentError(f"cannot eliminate structural rules from calculus {calc!r}")
     _no_tags(d)
     ok, where, msg = check_derivation(ambient, d)
     if not ok:

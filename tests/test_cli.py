@@ -156,11 +156,13 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["countermodel", "p | ~p"], 0),
         (["countermodel", "p -> p"], 1),
         (["countermodel", "p -> ("], 2),
+        (["countermodel", "p", "--max-worlds", "9"], 2),
         (["model-eval", str(model), "p -> p"], 0),
         (["model-eval", str(model), "p"], 1),
         (["model-eval", str(tmp_path / "absent.txt"), "p"], 2),
         (["eliminate", str(proof)], 0),
         (["eliminate", str(tmp_path / "absent.json")], 2),
+        (["eliminate", str(proof), "--calc", "bogus"], 2),
         (["fuzz-soundness", "--models", "5"], 0),
         (["parse", "~" * 3000 + "p"], 2),
         (["prove", "(" * 400 + "p" + ")" * 400], 2),

@@ -167,6 +167,13 @@ def test_budget_guard():
                               arity={"p": 2, "q": 2, "r": 2}))
 
 
+@pytest.mark.parametrize("max_worlds", [7, 9])
+def test_budget_guard_counts_no_preorders(max_worlds):
+    # more than 9.5M preorders on 7 worlds: bounded from below, never built
+    with pytest.raises(BudgetExceeded, match="at least"):
+        next(enumerate_models(max_worlds, ["p"]))
+
+
 def test_model_file_roundtrip():
     m = KripkeModel(
         frozenset({"w", "v"}),

@@ -1,13 +1,17 @@
+import hashlib
+
 import pytest
 
-from intcalc.formula import Atom, Impl, Param, Var, parse_formula
+from intcalc.formula import Atom, Impl, Param, Var, convert_signature, parse_formula
 from intcalc.labelled import (
+    EIGEN_PARAM,
     DomAtom,
     Label,
     LabelledDerivation,
     LabelledSequent,
     RelAtom,
     Rule,
+    SequentError,
     Witness,
     check_derivation,
     parse_sequent,
@@ -26,6 +30,8 @@ from intcalc.transform import (
     substitute_derivation,
     weaken_derivation,
 )
+from test_acceptance import fo_proofs, prop_proofs
+from test_search import _rule_digest, chain_backward, chain_forward
 
 w, v, u = Label("w"), Label("v"), Label("u")
 p, q = Atom("p"), Atom("q")
@@ -80,6 +86,25 @@ def test_weaken_renames_clashing_eigenvariable():
     assert root_wit.label != v
 
 
+def _eigen_param_node(d):
+    return next(n for n in d.nodes() if n.rule in EIGEN_PARAM)
+
+
+EIGEN_PARAM_GOALS = ["forall x. r(x) -> r(x)", "(exists x. r(x)) -> exists y. r(y)"]
+
+
+@pytest.mark.parametrize("text", EIGEN_PARAM_GOALS)
+def test_weaken_renames_clashing_eigenparameter(text):
+    d = prove_g3(text, calc="g3intqc")
+    a = _eigen_param_node(d).witness.param
+    d2 = weaken_derivation(d, "g3intqc", dom=[DomAtom(a, w)])
+    assert d2.height() == d.height()
+    assert d2.conclusion == d.conclusion.add(dom=[DomAtom(a, w)])
+    ok, _, msg = check_derivation("g3intqc", d2)
+    assert ok, msg
+    assert _eigen_param_node(d2).witness.param != a
+
+
 # -- substitution -------------------------------------------------------------
 
 def test_substitute_label_no_occurrence():
@@ -104,6 +129,20 @@ def test_substitute_param_through_exists():
     d2 = substitute_derivation(d, "param", a, b, "g3intqc")
     assert d2.height() == d.height()
     assert check_derivation("g3intqc", d2)[0]
+
+
+@pytest.mark.parametrize("text", EIGEN_PARAM_GOALS)
+@pytest.mark.parametrize("eigen_is_new", [True, False])
+def test_substitute_renames_clashing_eigenparameter(text, eigen_is_new):
+    d = prove_g3(text, calc="g3intqc")
+    a, b = _eigen_param_node(d).witness.param, Param("b")
+    new, old = (a, b) if eigen_is_new else (b, a)
+    d2 = substitute_derivation(d, "param", new, old, "g3intqc")
+    assert d2.height() == d.height()
+    assert d2.conclusion == d.conclusion  # neither name occurs in the end sequent
+    ok, _, msg = check_derivation("g3intqc", d2)
+    assert ok, msg
+    assert _eigen_param_node(d2).witness.param not in (a, b)
 
 
 # -- inversion ----------------------------------------------------------------
@@ -301,6 +340,68 @@ def test_eliminate_nd_cd_no_op():
     assert eliminate_nd_cd(d1, "intqcl").conclusion == d.conclusion
 
 
+# -- elimination output, pinned --------------------------------------------------
+
+def _elimination_shape(out, report):
+    """(nodes, height, rule digest, steps digest) of an elimination."""
+    steps = hashlib.sha256("\n".join(report.steps).encode()).hexdigest()[:12]
+    return (sum(1 for _ in out.nodes()), out.height(), _rule_digest(out), steps)
+
+
+def _elimination_inputs(name):
+    if name == "prop":
+        return [("g3int", d) for _, d in prop_proofs()]
+    if name == "fo":
+        return [("g3intqc", d) for _, d in fo_proofs()]
+    fam = {"chain_forward": chain_forward, "chain_backward": chain_backward}[name]
+    return [("g3int", prove(LabelledSequent(succ=((w, convert_signature(fam(k), "toBot")),)),
+                            SearchConfig("g3int", 4 * k + 4)))
+            for k in range(1, 6)]
+
+
+# the shapes of eliminate_structural's output on the g3int proofs of the Horn
+# chains k = 1..5 and on the acceptance corpora, in corpus order: a change in
+# the rewrites, in their order or in the step notes shows up here
+ELIMINATION_SHAPES = {
+    "chain_forward": [
+        (6, 5, "955da611dfef", "4040f066035c"), (11, 9, "1dcdf1bf6f72", "82898992ec88"),
+        (17, 14, "8a3ae66a0d55", "ab31c68c5670"), (24, 20, "af869d6c7e6d", "a17905e9de8c"),
+        (32, 27, "642044cd019a", "c407d3badd07")],
+    "chain_backward": [
+        (6, 5, "7400b45b5015", "4040f066035c"), (11, 9, "bc38d3a4b843", "82898992ec88"),
+        (17, 14, "ad4ff2761fd9", "ab31c68c5670"), (24, 20, "f1d8138f2948", "a17905e9de8c"),
+        (32, 27, "971ac65136aa", "c407d3badd07")],
+    "prop": [
+        (4, 4, "849aa167a414", "369dd5b28d0d"), (13, 10, "658b8de32246", "82898992ec88"),
+        (6, 5, "dfe5ccc016bf", "4040f066035c"), (3, 3, "2a43cc793172", "369dd5b28d0d"),
+        (3, 3, "d93dc136561a", "369dd5b28d0d"), (3, 3, "a9bc330a5ee9", "369dd5b28d0d"),
+        (3, 3, "5e4d967a89aa", "369dd5b28d0d"), (4, 4, "27fa92bd5e4f", "2655be1c116c"),
+        (17, 10, "fadf36968266", "82898992ec88"), (2, 2, "eb60674b084c", "369dd5b28d0d"),
+        (5, 4, "b3d74060be61", "369dd5b28d0d"), (5, 4, "fc417bd19f7b", "369dd5b28d0d"),
+        (8, 6, "9424895d270a", "4040f066035c"), (7, 6, "1441d05cf959", "369dd5b28d0d"),
+        (14, 9, "4897f83c9a93", "4040f066035c"), (13, 11, "dc769dc2e4ad", "82898992ec88"),
+        (9, 7, "423ade432760", "4040f066035c"), (11, 9, "03a084ff2d5d", "82898992ec88"),
+        (9, 7, "b3e894f73a7b", "4040f066035c"), (6, 5, "d406d3ea6cae", "369dd5b28d0d"),
+        (11, 9, "f75713cf37cc", "82898992ec88"), (30, 18, "9225cd262b47", "ab31c68c5670"),
+        (7, 6, "c95a5166dcea", "369dd5b28d0d"), (22, 9, "cad8f25a026d", "dcf56302ff00"),
+        (7, 6, "db9520ea4a5b", "4040f066035c"), (6, 5, "78208cef4b6e", "4040f066035c")],
+    "fo": [
+        (4, 4, "30470642213e", "6b00241d92c3"), (5, 5, "0f6e1c7b8bbe", "ee2310363a6a"),
+        (10, 6, "bfca3cae6d52", "bc1cf5f35ca2"), (5, 5, "15c7066bad6f", "6b00241d92c3"),
+        (5, 5, "19da06d157d1", "ee2310363a6a"), (12, 11, "6d5cc7438581", "5372105c04b9"),
+        (9, 7, "5adf386672e8", "6b00241d92c3"), (8, 7, "651eed2ba203", "ee2310363a6a"),
+        (3, 3, "0447eeee3598", "369dd5b28d0d"), (7, 6, "e92f217cf904", "6b00241d92c3"),
+        (5, 5, "22ef9e453cd8", "ee2310363a6a")],
+}
+
+
+@pytest.mark.parametrize("name", list(ELIMINATION_SHAPES))
+def test_elimination_output_is_pinned(name):
+    got = [_elimination_shape(*eliminate_structural(d, calc))
+           for calc, d in _elimination_inputs(name)]
+    assert got == ELIMINATION_SHAPES[name]
+
+
 # -- derived-rule expansion ---------------------------------------------------
 
 def test_expand_bot_l():
@@ -368,6 +469,29 @@ def test_nested_proof_with_quantified_antecedent_roundtrips():
     nd = proof_to_nested(out)
     back, _kind, calc = load_proof(dump_proof(nd, "nintqc-star"))
     assert calc == "nintqc-star" and back == nd
+
+
+@pytest.mark.parametrize("calc, searched_in, out_calc", [
+    ("g3int", "g3int", "g3int-tree"),
+    ("g3int-ext", "g3int", "g3int-tree"),
+    ("g3int-tree", "g3int", "g3int-tree"),
+    ("g3intqc", "g3intqc", "intqcl-tree"),
+    ("intqcl", "g3intqc", "intqcl-tree"),
+    ("intqcl-tree", "g3intqc", "intqcl-tree"),
+])
+def test_pipeline_takes_each_calculus_name(calc, searched_in, out_calc):
+    # an eliminated proof lies in every calculus of its family, so it can be
+    # eliminated again under each of their names
+    d, _ = eliminate_structural(prove_g3("p -> (q -> p)", calc=searched_in), searched_in)
+    out, report = eliminate_structural(d, calc)
+    assert report.calculus_out == out_calc
+    assert check_derivation(out_calc, out)[0]
+
+
+@pytest.mark.parametrize("calc", ["bogus", "nint-star", "g3int-treee", ""])
+def test_pipeline_rejects_other_calculus_names(calc):
+    with pytest.raises(SequentError, match="calculus"):
+        eliminate_structural(section4_proof(), calc)
 
 
 def test_pipeline_non_theorem_shape_warns():
