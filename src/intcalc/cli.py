@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nested", action="store_true")
     p.set_defaults(fn=cmd_model_eval)
 
-    p = sub.add_parser("countermodel", help="exhaustive finite countermodel search")
+    p = sub.add_parser("countermodel", help="finite countermodel search: fewest worlds for a "
+                       "propositional formula, every labelled model for a first-order one")
     p.add_argument("formula")
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--domain-size", type=int, default=0)

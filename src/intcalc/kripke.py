@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -349,7 +350,9 @@ class _Family:
         self.cell[0] = f
 
 
-_FAMILY_CACHE_SIZE = 8
+# room for the rooted families of four sizes times the four atom sets of
+# a two-atom corpus, besides the few exhaustive families in use
+_FAMILY_CACHE_SIZE = 32
 _families: dict = {}
 
 
@@ -372,9 +375,11 @@ def rooted_countermodel(
     Only rooted posets are tried, one of each up to isomorphism: if f fails
     at a world w of any model, it fails at the root of the submodel that w
     generates, and collapsing that submodel's clusters (a p-morphism)
-    leaves a rooted poset with no more worlds.  The models with at most
-    max_worlds worlds and the atoms of f are compiled once into a cached
-    family, so each call is one bottom-up evaluation over all of them.
+    leaves a rooted poset with no more worlds.  The sizes are tried in
+    turn, 1 up to max_worlds, and the first that refutes f answers.  The
+    models of one size with the atoms of f are compiled into a cached
+    family when that size is first reached, so each size costs one
+    bottom-up evaluation over all of them.
     """
     if max_worlds < 1:
         raise ModelError("max_worlds must be >= 1")
@@ -383,26 +388,42 @@ def rooted_countermodel(
     from .formula import atoms_of
 
     names = tuple(sorted(atoms_of(f)))
-    fam = _cached_family(("rooted", max_worlds, names),
-                         lambda: _rooted_family(max_worlds, names))
-    miss = fam.roots & ~fam.truth(f)
-    if not miss:
+    for n in range(1, max_worlds + 1):
+        fam = _cached_family(("rooted", n, names), lambda: _rooted_family(n, names))
+        miss = fam.roots & ~fam.truth(f)
+        if miss:
+            break
+    else:
         return None
     k = bisect.bisect_right(fam.bases, (miss & -miss).bit_length() - 1) - 1
     ups, vals = fam.layout[k]
-    worlds = [f"w{i}" for i in range(len(ups))]
+    worlds = [f"w{i}" for i in range(n)]
     leq = frozenset((worlds[i], worlds[j]) for i, u in enumerate(ups)
-                    for j in range(len(ups)) if u >> j & 1)
-    val = {(name, ()): frozenset(worlds[i] for i in range(len(ups)) if mask >> i & 1)
+                    for j in range(n) if u >> j & 1)
+    val = {(name, ()): frozenset(worlds[i] for i in range(n) if mask >> i & 1)
            for name, mask in zip(names, vals)}
     return _trusted_model(frozenset(worlds), leq, val), worlds[0]
 
 
-def _rooted_family(max_worlds: int, names: tuple[str, ...]) -> _Family:
-    frames = [ups for n in range(1, max_worlds + 1) for ups in _rooted_posets(n)]
+# OEIS A006455: the naturally labelled posets on n points, n = 0..7, which
+# `_rooted_posets(n + 1)` grows above its root; it grows with n, so the
+# last entry bounds every larger n from below
+_NATURAL_POSET_COUNTS = (1, 1, 2, 7, 40, 357, 4824, 96428)
+
+
+def _rooted_family(n: int, names: tuple[str, ...]) -> _Family:
+    """The rooted models on n worlds with the given atoms.  Raises
+    BudgetExceeded when finding the posets (n! relabellings of each grown
+    one) or the models on them would exceed MODEL_BUDGET."""
+    grown = _NATURAL_POSET_COUNTS[min(n - 1, len(_NATURAL_POSET_COUNTS) - 1)]
+    if grown * math.factorial(n) > MODEL_BUDGET:
+        raise BudgetExceeded(
+            f"{grown} posets times {n}! relabellings on {n} worlds exceed the "
+            f"{MODEL_BUDGET} budget")
+    frames = _rooted_posets(n)
     size = sum(len(_upset_masks(ups)) ** len(names) for ups in frames)
     if size > MODEL_BUDGET:
-        raise BudgetExceeded(f"{size} rooted models exceed the {MODEL_BUDGET} budget")
+        raise BudgetExceeded(f"{size} rooted models on {n} worlds exceed the {MODEL_BUDGET} budget")
     layout = [(ups, choice) for ups in frames
               for choice in itertools.product(_upset_masks(ups), repeat=len(names))]
     return _Family(layout, names)
@@ -661,6 +682,14 @@ def _enumerate_exhaustive(max_worlds, atom_list, domain_size, arity):
                 yield m
 
 
+def _closure(worlds, edges) -> frozenset[tuple[World, World]]:
+    """The reflexive-transitive closure of edges on worlds."""
+    rel = {(w, w) for w in worlds} | set(edges)
+    while new := {(a, d) for (a, b) in rel for (c, d) in rel if b == c} - rel:
+        rel |= new
+    return frozenset(rel)
+
+
 def _generate_random(max_worlds, atom_list, domain_size, arity, seed, count):
     rng = random.Random(seed)
     produced = 0
@@ -668,21 +697,9 @@ def _generate_random(max_worlds, atom_list, domain_size, arity, seed, count):
     while produced < count:
         n = rng.randint(1, max_worlds)
         worlds = [f"w{i}" for i in range(n)]
-        rel = {(w, w) for w in worlds}
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.random() < 0.4:
-                    rel.add((worlds[i], worlds[j]))
-        # reflexive-transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        named = frozenset(rel)
+        edges = [(worlds[i], worlds[j]) for i in range(n) for j in range(n)
+                 if i != j and rng.random() < 0.4]
+        named = _closure(worlds, edges)
         val = {}
         for name in atom_list:
             for args in _arg_tuples(domain, arity.get(name, 0)):
@@ -764,18 +781,9 @@ def load_model(text: str) -> KripkeModel:
     wset = frozenset(worlds)
     if not wset:
         raise ModelError("model file names no worlds")
-    rel = {(w, w) for w in wset} | edges
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
     return KripkeModel(
         wset,
-        frozenset(rel),
+        _closure(wset, edges),
         {k: frozenset(v) for k, v in val.items()},
         tuple(domain),
     )

@@ -261,14 +261,6 @@ class NRule(enum.Enum):
     EXISTS_R = "exists_r"
 
 
-N_ARITY = {
-    NRule.ID: 0, NRule.ID_Q: 0,
-    NRule.AND_L: 1, NRule.OR_R: 1, NRule.NEG_L: 1, NRule.NEG_R: 1,
-    NRule.IMP_R: 1, NRule.LIFT: 1, NRule.FORALL_L: 1, NRule.FORALL_R: 1,
-    NRule.EXISTS_L: 1, NRule.EXISTS_R: 1,
-    NRule.AND_R: 2, NRule.OR_L: 2, NRule.IMP_L: 2,
-}
-
 _PROP = frozenset(
     {NRule.ID, NRule.AND_L, NRule.AND_R, NRule.OR_L, NRule.OR_R, NRule.NEG_L,
      NRule.NEG_R, NRule.IMP_L, NRule.IMP_R, NRule.LIFT}

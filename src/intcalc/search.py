@@ -56,9 +56,11 @@ themselves keep structural equality and a cached hash: their text is the
 canonical order the proofs depend on, and a global formula table raised
 the peak memory of the `decide` workload by about 10 %.
 
-`decide_prop` looks for a small rooted countermodel first
-(`kripke.rooted_countermodel`) and runs proof search only when there is
-none.
+Countermodels come from `find_countermodel`.  Every propositional
+countermodel, for `decide_prop` and the command line alike, comes from
+one engine, `kripke.rooted_countermodel`; the scan over every labelled
+model serves only first-order formulas.  `decide_prop` asks for a small
+countermodel first and runs proof search only when there is none.
 
 `notFoundWithinBounds` (None results) is never a refutation.
 """
@@ -73,18 +75,17 @@ from .formula import (
     And,
     Atom,
     Bot,
-    Exists,
-    Forall,
     Formula,
     Or,
-    atoms_of,
     cached,
     fkey,
     params_of,
+    subformulas,
     substitute_param,
 )
 from .kripke import (
     KripkeModel,
+    _propositional,
     enumerate_models,
     rooted_countermodel,
     satisfies,
@@ -629,42 +630,34 @@ class Countermodel:
 def find_countermodel(
     f: Formula, max_worlds: int, domain_size: int = 0
 ) -> Optional[Countermodel]:
-    """Exhaustive finite-model search; None only exhausts the bound.
+    """A finite countermodel with at most max_worlds worlds, or None.
 
-    Propositional formulas are decided up to max_worlds; with quantifiers
-    the search is relative to the fixed domain_size and incomplete.
+    A propositional formula goes to `rooted_countermodel`, which decides
+    it up to max_worlds with the fewest worlds; domain_size is not read.
+    A first-order formula is tried on every labelled model over a domain
+    of domain_size individuals (at least one), which is incomplete.  A
+    countermodel re-evaluates to false under `satisfies_reference` before
+    it is returned; None only exhausts the bound.
     """
-    names = sorted(atoms_of(f))
-    arity = {g.name: len(g.args) for g in _subatoms(f)}
-    needs_domain = bool(params_of(f)) or any(arity.values()) or _has_quantifier(f)
-    dsize = domain_size if domain_size else (1 if needs_domain else 0)
-    for m in enumerate_models(max_worlds, names, dsize, arity=arity):
-        envs = _param_envs(f, m)
-        for env in envs:
+    if _propositional(f):
+        found = rooted_countermodel(f, max_worlds)
+        cm = Countermodel(*found) if found is not None else None
+    else:
+        cm = next(_scan_models(f, max_worlds, domain_size or 1), None)
+    if cm is not None and satisfies_reference(cm.model, cm.world, f, cm.env):
+        raise SequentError("countermodel failed to re-evaluate to false")
+    return cm
+
+
+def _scan_models(f: Formula, max_worlds: int, domain_size: int):
+    arity = {g.name: len(g.args) for g in subformulas(f) if isinstance(g, Atom)}
+    ps = params_of(f)
+    for m in enumerate_models(max_worlds, sorted(arity), domain_size, arity=arity):
+        for combo in itertools.product(m.domain, repeat=len(ps)):
+            env = dict(zip(ps, combo))
             for w in sorted(m.worlds):
                 if not satisfies(m, w, f, env):
-                    return Countermodel(m, w, env)
-    return None
-
-
-def _subatoms(f: Formula):
-    from .formula import subformulas
-
-    return [g for g in subformulas(f) if isinstance(g, Atom)]
-
-
-def _has_quantifier(f: Formula) -> bool:
-    from .formula import subformulas
-
-    return any(isinstance(g, (Forall, Exists)) for g in subformulas(f))
-
-
-def _param_envs(f: Formula, m: KripkeModel):
-    ps = params_of(f)
-    if not ps:
-        return [dict()]
-    dom = m.domain or ("*",)
-    return [dict(zip(ps, combo)) for combo in itertools.product(dom, repeat=len(ps))]
+                    yield Countermodel(m, w, env)
 
 
 @dataclass(frozen=True)
@@ -682,24 +675,19 @@ def decide_prop(
 ) -> Decision:
     """A countermodel with at most model_bound worlds, else a proof.
 
-    The schedule: first every rooted finite poset with at most model_bound
-    worlds is tried, smallest first (`rooted_countermodel`; a formula that
-    fails at some world of a model with n worlds fails at the root of a
-    rooted poset with at most n worlds, the generated submodel with its
-    clusters collapsed).  Only if none refutes f, proof search runs with
-    the depth bounds 4, 6, 8, ... up to cfg.depth_bound.
+    The schedule: first `find_countermodel` tries the rooted models with
+    at most model_bound worlds, smallest first.  Only if none refutes f,
+    proof search runs with the depth bounds 4, 6, 8, ... up to
+    cfg.depth_bound.
 
     Never returns both witnesses; a proof re-checks and a countermodel
     re-evaluates to false under the reference evaluator before being
     returned.
     """
-    if _has_quantifier(f) or any(g.args for g in _subatoms(f)):
+    if not _propositional(f):
         raise SequentError("decide_prop expects a propositional formula")
-    found = rooted_countermodel(f, model_bound) if model_bound >= 1 else None
-    if found is not None:
-        cm = Countermodel(*found)
-        if satisfies_reference(cm.model, cm.world, f, {}):
-            raise SequentError("countermodel failed to re-evaluate to false")
+    cm = find_countermodel(f, model_bound) if model_bound >= 1 else None
+    if cm is not None:
         return Decision("countermodel", countermodel=cm)
     goal = _goal_for(f, cfg.calculus)
     depths = [d for d in _DEPTH_SCHEDULE if d < cfg.depth_bound]
@@ -724,8 +712,6 @@ def _goal_for(f: Formula, calculus: str):
 
 
 def _mentions_bot(f: Formula) -> bool:
-    from .formula import subformulas
-
     return any(isinstance(g, Bot) for g in subformulas(f))
 
 

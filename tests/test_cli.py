@@ -156,7 +156,8 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["countermodel", "p | ~p"], 0),
         (["countermodel", "p -> p"], 1),
         (["countermodel", "p -> ("], 2),
-        (["countermodel", "p", "--max-worlds", "9"], 2),
+        (["countermodel", "p", "--max-worlds", "9"], 0),
+        (["countermodel", "p -> p", "--max-worlds", "9"], 2),
         (["model-eval", str(model), "p -> p"], 0),
         (["model-eval", str(model), "p"], 1),
         (["model-eval", str(tmp_path / "absent.txt"), "p"], 2),

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intcalc.formula import And, Atom, Bot, Impl, Neg, Or, Param, parse_formula
+from intcalc.formula import And, Atom, Bot, Impl, Neg, Or, Param, atoms_of, parse_formula
 from intcalc.kripke import (
     BudgetExceeded,
     KripkeModel,
@@ -256,16 +256,28 @@ def test_cached_satisfies_matches_reference_on_a_family(fs):
 @given(_prop_formulas(("p", "q")), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_rooted_countermodel_agrees_with_exhaustive_search(f, n):
-    from intcalc.search import find_countermodel
-
+    # every labelled model by the reference clauses; the models come
+    # smallest first, so the first refuting one has the fewest worlds
+    smallest = next((len(m.worlds) for m in enumerate_models(n, sorted(atoms_of(f)))
+                     if any(not satisfies_reference(m, w, f) for w in m.worlds)), None)
     found = rooted_countermodel(f, n)
-    assert (found is None) == (find_countermodel(f, n) is None)
+    assert (found is None) == (smallest is None)
     if found is not None:
         m, root = found
-        assert len(m.worlds) <= n
+        assert len(m.worlds) == smallest
         assert all((root, w) in m.leq for w in m.worlds)
         assert not satisfies_reference(m, root, f)
         KripkeModel(m.worlds, m.leq, m.valuation, m.domain)  # re-validate
+
+
+def test_rooted_countermodel_builds_only_the_sizes_it_reaches():
+    # one world refutes p, so no larger size is built or budgeted
+    m, root = rooted_countermodel(parse_formula("p"), 9)
+    assert m.worlds == {root}
+    # a theorem reaches every size: 6 worlds are built, 7 would take
+    # 4,824 grown posets times 7! relabellings
+    with pytest.raises(BudgetExceeded, match="7 worlds"):
+        rooted_countermodel(parse_formula("p -> p"), 7)
 
 
 def test_cached_satisfies_unknown_world_raises():
