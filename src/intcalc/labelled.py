@@ -2,7 +2,12 @@
 
 Sequents are multisets of relational atoms (w <= v), domain atoms
 (a in D(w)) and labelled formulae (w : A), encoded as canonically sorted
-tuples so multiset equality is structural equality.
+tuples so multiset equality is structural equality.  The tuples are always
+in canonical order: only the public constructor sorts (parsing,
+substitution, the graph translation), and the edits that build the premises
+of a rule keep the order, `remove` by filtering and `add` by inserting each
+new item by bisection after the items of equal key, where a stable sort of
+the concatenation would put it.
 
 Rule sets:
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
+from bisect import insort_right
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -116,30 +122,32 @@ class LabelledSequent:
         object.__setattr__(self, "ante", tuple(sorted(self.ante, key=_lf_key)))
         object.__setattr__(self, "succ", tuple(sorted(self.succ, key=_lf_key)))
 
+    @classmethod
+    def _presorted(cls, rel, dom, ante, succ) -> "LabelledSequent":
+        """The sequent of four tuples already in canonical order."""
+        s = object.__new__(cls)
+        # field by field, as __init__ does, keeps the compact instance layout
+        object.__setattr__(s, "rel", rel)
+        object.__setattr__(s, "dom", dom)
+        object.__setattr__(s, "ante", ante)
+        object.__setattr__(s, "succ", succ)
+        return s
+
     # -- multiset edits (each returns a new sequent) --
     def add(self, rel=(), dom=(), ante=(), succ=()) -> "LabelledSequent":
-        return LabelledSequent(
-            self.rel + tuple(rel),
-            self.dom + tuple(dom),
-            self.ante + tuple(ante),
-            self.succ + tuple(succ),
+        return LabelledSequent._presorted(
+            _insert(self.rel, rel, _atom_key),
+            _insert(self.dom, dom, _atom_key),
+            _insert(self.ante, ante, _lf_key),
+            _insert(self.succ, succ, _lf_key),
         )
 
-    def _remove(self, items, gone, what):
-        out = list(items)
-        for g in gone:
-            try:
-                out.remove(g)
-            except ValueError:
-                raise SequentError(f"{what} {g!r} not present") from None
-        return tuple(out)
-
     def remove(self, rel=(), dom=(), ante=(), succ=()) -> "LabelledSequent":
-        return LabelledSequent(
-            self._remove(self.rel, rel, "relational atom"),
-            self._remove(self.dom, dom, "domain atom"),
-            self._remove(self.ante, ante, "antecedent formula"),
-            self._remove(self.succ, succ, "succedent formula"),
+        return LabelledSequent._presorted(
+            _remove(self.rel, rel, "relational atom"),
+            _remove(self.dom, dom, "domain atom"),
+            _remove(self.ante, ante, "antecedent formula"),
+            _remove(self.succ, succ, "succedent formula"),
         )
 
     def count_rel(self, r: RelAtom) -> int:
@@ -168,20 +176,11 @@ class LabelledSequent:
         return frozenset().union(*(atoms_of(f) for (_, f) in self.ante + self.succ))
 
     def is_subset_of(self, other: "LabelledSequent") -> bool:
-        def sub(xs, ys):
-            pool = list(ys)
-            for x in xs:
-                if x in pool:
-                    pool.remove(x)
-                else:
-                    return False
-            return True
-
         return (
-            sub(self.rel, other.rel)
-            and sub(self.dom, other.dom)
-            and sub(self.ante, other.ante)
-            and sub(self.succ, other.succ)
+            _is_submultiset(self.rel, other.rel)
+            and _is_submultiset(self.dom, other.dom)
+            and _is_submultiset(self.ante, other.ante)
+            and _is_submultiset(self.succ, other.succ)
         )
 
     def __repr__(self) -> str:
@@ -189,6 +188,35 @@ class LabelledSequent:
 
 
 cache_hash(LabelledSequent)
+
+
+def _insert(items: tuple, new, key) -> tuple:
+    """`items`, in canonical order, with each of `new` inserted after the
+    items of equal key: the order a stable sort of items + new gives.  No
+    key is computed while the target is empty."""
+    if not new:
+        return items
+    out = list(items)
+    for x in new:
+        if out:
+            insort_right(out, x, key=key)
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _remove(items: tuple, gone, what: str) -> tuple:
+    """`items` less one occurrence of each of `gone`; a filtered tuple in
+    canonical order stays in it."""
+    if not gone:
+        return items
+    out = list(items)
+    for g in gone:
+        try:
+            out.remove(g)
+        except ValueError:
+            raise SequentError(f"{what} {g!r} not present") from None
+    return tuple(out)
 
 
 def show_sequent(s: LabelledSequent) -> str:

@@ -2,7 +2,13 @@
 
 A nested sequent is a tree X -> Y, [S1], ..., [Sn]; ante/succ and the
 children are multisets (canonically sorted tuples), so bracket order never
-matters for equality.
+matters for equality.  The tuples are always in canonical order: only the
+public constructor sorts (parsing, the graph translation), and the edits
+that build the premises of a rule keep the order.  `edit` filters what it
+drops and inserts what it adds by bisection, and `replace_at` re-places only
+the changed child among its siblings, each where a stable sort would put
+it; no sort key is computed when the target is empty or a node has one
+child.
 
 Rule sets:
 
@@ -20,6 +26,7 @@ inside the antecedent list must be parenthesised.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -41,7 +48,7 @@ from .formula import (
     show_formula,
     substitute_param,
 )
-from .labelled import Rule, SequentError, check_nodes, fresh_params
+from .labelled import Rule, SequentError, _insert, _remove, check_nodes, fresh_params
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,15 @@ class NestedSequent:
             self, "children", tuple(sorted(self.children, key=nkey))
         )
 
+    @classmethod
+    def _presorted(cls, ante, succ, children) -> "NestedSequent":
+        """The sequent of three tuples already in canonical order."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ante", ante)
+        object.__setattr__(s, "succ", succ)
+        object.__setattr__(s, "children", children)
+        return s
+
     def at(self, path: Sequence[int]) -> "NestedSequent":
         node = self
         for i in path:
@@ -71,9 +87,13 @@ class NestedSequent:
         i = path[0]
         if not 0 <= i < len(self.children):
             raise SequentError(f"invalid context path {tuple(path)}")
-        kids = list(self.children)
-        kids[i] = self.children[i].replace_at(path[1:], new)
-        return NestedSequent(self.ante, self.succ, tuple(kids))
+        kid = self.children[i].replace_at(path[1:], new)
+        kids = self.children[:i] + self.children[i + 1:]
+        if kids:
+            # among equal keys a stable sort keeps the child at its index
+            k = nkey(kid)
+            i = min(max(i, bisect_left(kids, k, key=nkey)), bisect_right(kids, k, key=nkey))
+        return NestedSequent._presorted(self.ante, self.succ, kids[:i] + (kid,) + kids[i:])
 
     def holes(self) -> Iterator[tuple[int, ...]]:
         yield ()
@@ -212,16 +232,6 @@ def _split_top(t: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _remove(items: tuple, gone) -> tuple:
-    out = list(items)
-    for g in gone:
-        try:
-            out.remove(g)
-        except ValueError:
-            raise SequentError(f"formula {g!r} not present") from None
-    return tuple(out)
-
-
 def edit(
     s: NestedSequent,
     drop_ante=(),
@@ -230,10 +240,10 @@ def edit(
     add_succ=(),
     add_children=(),
 ) -> NestedSequent:
-    return NestedSequent(
-        _remove(s.ante, drop_ante) + tuple(add_ante),
-        _remove(s.succ, drop_succ) + tuple(add_succ),
-        s.children + tuple(add_children),
+    return NestedSequent._presorted(
+        _insert(_remove(s.ante, drop_ante, "formula"), add_ante, fkey),
+        _insert(_remove(s.succ, drop_succ, "formula"), add_succ, fkey),
+        _insert(s.children, add_children, nkey),
     )
 
 
@@ -396,7 +406,7 @@ def nested_premises_for(
     if rule is NRule.NEG_R:
         _need(isinstance(f, Neg), "neg_r: principal must be a negation")
         _need(f in node.succ, "neg_r: principal not present")
-        child = NestedSequent((f.body,), (), ())
+        child = NestedSequent._presorted((f.body,), (), ())
         return (up(edit(node, drop_succ=[f], add_children=[child])),)
     if rule is NRule.NEG_L:
         _need(isinstance(f, Neg), "neg_l: principal must be a negation")
@@ -405,7 +415,7 @@ def nested_premises_for(
     if rule is NRule.IMP_R:
         _need(isinstance(f, Impl), "imp_r: principal must be an implication")
         _need(f in node.succ, "imp_r: principal not present")
-        child = NestedSequent((f.left,), (f.right,), ())
+        child = NestedSequent._presorted((f.left,), (f.right,), ())
         return (up(edit(node, drop_succ=[f], add_children=[child])),)
     if rule is NRule.IMP_L:
         _need(isinstance(f, Impl), "imp_l: principal must be an implication")
@@ -418,11 +428,8 @@ def nested_premises_for(
         _need(f is not None and f in node.ante, "lift: principal not present")
         _need(w.child is not None and 0 <= w.child < len(node.children),
               "lift: invalid child index")
-        kid = node.children[w.child]
-        new_kid = NestedSequent(kid.ante + (f,), kid.succ, kid.children)
-        kids = list(node.children)
-        kids[w.child] = new_kid
-        return (up(NestedSequent(node.ante, node.succ, tuple(kids))),)
+        new_kid = edit(node.children[w.child], add_ante=[f])
+        return (up(node.replace_at((w.child,), new_kid)),)
     if rule is NRule.FORALL_R:
         _need(isinstance(f, Forall), "forall_r: principal must be universal")
         _need(f in node.succ, "forall_r: principal not present")

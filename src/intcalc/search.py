@@ -474,10 +474,9 @@ def _adds_new(rule: Rule, w: Witness, ix: SequentIndex) -> bool:
 
 def _label_depths(s: LabelledSequent) -> dict[Label, int]:
     """Longest directed distance from any in-degree-0 label (loops skipped)."""
-    labels = sorted(s.labels(), key=lambda l: l.name)
-    depth = {l: 0 for l in labels}
+    depth = dict.fromkeys(s.labels(), 0)
     edges = [(r.w, r.v) for r in s.rel if r.w != r.v]
-    for _ in range(len(labels)):
+    for _ in range(len(depth)):
         changed = False
         for (a, b) in edges:
             if depth[b] < depth[a] + 1:

@@ -432,18 +432,52 @@ def test_canonical_order_is_pinned():
 @given(_sequents(), _sequents(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_every_construction_is_canonical(s, extra, rng):
+    """Every sequent is in canonical order, and the edits give exactly the
+    order that the constructor's stable sort gives."""
     assert _in_canonical_order(s)
-    assert LabelledSequent(*(tuple(reversed(part)) for part in
-                             (s.rel, s.dom, s.ante, s.succ))) == s
-    grown = s.add(extra.rel, extra.dom, extra.ante, extra.succ)
-    assert _in_canonical_order(grown)
+    assert LabelledSequent(*(tuple(reversed(part)) for part in _parts(s))) == s
 
     def some(xs):
         return rng.sample(xs, rng.randint(0, len(xs)))
 
-    shrunk = grown.remove(some(grown.rel), some(grown.dom), some(grown.ante), some(grown.succ))
+    def twins(occs):
+        # new occurrence tuples equal to ones already present: every add
+        # meets ties, and _same_order tells the tuples apart
+        return [(l, f) for (l, f) in some(occs)]
+
+    added = [list(extra.rel) + some(s.rel), list(extra.dom) + some(s.dom),
+             list(extra.ante) + twins(s.ante), list(extra.succ) + twins(s.succ)]
+    for side in added:
+        rng.shuffle(side)
+    grown = s.add(*added)
+    assert _in_canonical_order(grown)
+    assert _same_order(grown, LabelledSequent(*(
+        part + tuple(side) for part, side in zip(_parts(s), added))))
+
+    gone = [some(part) for part in _parts(grown)]
+    shrunk = grown.remove(*gone)
     assert _in_canonical_order(shrunk)
+    assert _same_order(shrunk, LabelledSequent(*map(_filtered, _parts(grown), gone)))
     for new, old in ((z, w), (w, v), (Label("a9"), u)):
         assert _in_canonical_order(substitute_sequent(grown, "label", new, old))
     for new, old in ((Param("c"), Param("a")), (Param("a"), Param("b"))):
         assert _in_canonical_order(substitute_sequent(grown, "param", new, old))
+
+
+def _parts(s):
+    return (s.rel, s.dom, s.ante, s.succ)
+
+
+def _same_order(a, b):
+    """The same items, object for object, in the same tuple order.  Equal
+    occurrences built apart are told apart, so an insertion at the wrong end
+    of a run of equal keys shows."""
+    return all(len(x) == len(y) and all(i is j for i, j in zip(x, y))
+               for x, y in zip(_parts(a), _parts(b)))
+
+
+def _filtered(items, gone):
+    out = list(items)
+    for g in gone:
+        out.remove(g)
+    return tuple(out)

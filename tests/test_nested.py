@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,7 +33,7 @@ from intcalc.nested import (
 )
 from intcalc.proofio import dump_proof, load_proof
 
-from test_labelled import _first_unused, _formulas
+from test_labelled import _filtered, _first_unused, _formulas
 
 p, q = Atom("p"), Atom("q")
 
@@ -300,3 +302,63 @@ def test_nested_candidates_match_a_scan_at_every_hole(s):
         for rule in NRule:
             got = list(_nested_candidates(rule, s, s.at(hole)))
             assert got == _scanned_nested(rule, s, s.at(hole)), (rule, hole)
+
+
+def _same_tree(a, b):
+    """Equal trees whose formulas are the same objects in the same order, so
+    that a twin placed at the wrong end of a run of equal keys shows."""
+    return (len(a.ante) == len(b.ante) and all(x is y for x, y in zip(a.ante, b.ante))
+            and len(a.succ) == len(b.succ) and all(x is y for x, y in zip(a.succ, b.succ))
+            and len(a.children) == len(b.children)
+            and all(_same_tree(x, y) for x, y in zip(a.children, b.children)))
+
+
+def _rebuilt(s, path, new):
+    """`replace_at` through the public constructor, which sorts every node
+    on the path."""
+    if not path:
+        return new
+    kids = list(s.children)
+    kids[path[0]] = _rebuilt(kids[path[0]], path[1:], new)
+    return NestedSequent(s.ante, s.succ, tuple(kids))
+
+
+@given(_nested_sequents(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_edits_give_the_stable_sort_order(s, rng):
+    # twins (deep copies) are equal to what is there but not the same
+    # objects: every insertion and re-placement meets ties
+    twin = copy.deepcopy
+    subtrees = [s.at(h) for h in s.holes()]
+
+    def some(xs):
+        xs = list(xs)
+        return rng.sample(xs, rng.randint(0, len(xs)))
+
+    for hole in s.holes():
+        node = s.at(hole)
+        drop_a, drop_s = some(node.ante), some(node.succ)
+        add_a = [twin(f) for f in some(node.ante + node.succ)]
+        add_s = [twin(f) for f in some(node.ante + node.succ)]
+        add_c = [twin(t) for t in some(subtrees)]
+        for side in (add_a, add_s, add_c):
+            rng.shuffle(side)
+        edited = edit(node, drop_a, drop_s, add_a, add_s, add_c)
+        assert _same_tree(edited, NestedSequent(
+            _filtered(node.ante, drop_a) + tuple(add_a),
+            _filtered(node.succ, drop_s) + tuple(add_s),
+            node.children + tuple(add_c)))
+
+        for new in [twin(t) for t in subtrees] + [edited]:
+            assert _same_tree(s.replace_at(hole, new), _rebuilt(s, hole, new)), hole
+
+        for f in dict.fromkeys(node.ante):
+            for i, kid in enumerate(node.children):
+                w = NWitness(formula=twin(f), child=i)
+                kids = list(node.children)
+                kids[i] = NestedSequent(kid.ante + (w.formula,), kid.succ, kid.children)
+                for calc, ante in (("nint-star", node.ante),
+                                   ("nint", _filtered(node.ante, [f]))):
+                    want = _rebuilt(s, hole, NestedSequent(ante, node.succ, tuple(kids)))
+                    (got,) = nested_premises_for(calc, NRule.LIFT, s, hole, w)
+                    assert _same_tree(got, want), (calc, hole, i)
