@@ -34,7 +34,7 @@ from .labelled import (
 )
 from .nested import NESTED_CALCULI, check_nested_derivation, parse_nested, show_nested
 from .proofio import dump_proof, load_proof
-from .search import Countermodel, SearchConfig, find_countermodel, prove
+from .search import SearchConfig, find_countermodel, prove
 from .transform import TransformError, eliminate_structural, proof_to_nested
 
 OK, NEGATIVE, INPUT_ERROR, INTERNAL = 0, 1, 2, 3

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .formula import Formula, fkey
 from .labelled import (
-    DomAtom,
     Label,
     LabelledSequent,
     RelAtom,
@@ -253,27 +252,24 @@ def nestify_with_paths(
     children = {v: sorted(b for (a, b) in g2.edges if a == v) for v in verts}
     paths: dict[Label, tuple[int, ...]] = {}
 
-    # children are stored canonically sorted, so compute paths against the
-    # final canonical layout rather than the construction order
-    def build2(v: str) -> NestedSequent:
+    # children are stored canonically sorted, so read each child's index off
+    # the node built, by identity: equal sibling subtrees are distinct
+    # objects, which the stable sort keeps in the order of their labels
+    built: dict[str, NestedSequent] = {}
+
+    def build(v: str) -> NestedSequent:
         ante, succ = g2.labelling[v]
-        kids = tuple(build2(b) for b in children[v])
-        return NestedSequent(ante, succ, kids)
+        built[v] = NestedSequent(ante, succ, tuple(build(b) for b in children[v]))
+        return built[v]
 
-    nested = build2(root)
-
-    def assign(v: str, node: NestedSequent, path: tuple[int, ...]) -> None:
+    def assign(v: str, path: tuple[int, ...]) -> None:
         paths[Label(v)] = path
-        remaining = list(range(len(node.children)))
+        kids = built[v].children
         for b in children[v]:
-            sub = build2(b)
-            for i in remaining:
-                if node.children[i] == sub:
-                    remaining.remove(i)
-                    assign(b, node.children[i], path + (i,))
-                    break
+            assign(b, path + (next(i for i, c in enumerate(kids) if c is built[b]),))
 
-    assign(root, nested, ())
+    nested = build(root)
+    assign(root, ())
     return nested, paths
 
 

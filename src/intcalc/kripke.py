@@ -620,7 +620,8 @@ def enumerate_models(
     evaluates formulas.  More than MODEL_BUDGET models raise BudgetExceeded
     before the first is yielded.
 
-    random: `count` pseudo-random valid models, deterministic per seed.
+    random: `count` pseudo-random valid models, deterministic per seed;
+    BudgetExceeded before the first when max_worlds**3 exceeds MODEL_BUDGET.
     """
     if max_worlds < 1:
         raise ModelError("max_worlds must be >= 1")
@@ -630,6 +631,10 @@ def enumerate_models(
         _check_budget(max_worlds, atom_list, domain_size, arity)
         yield from _enumerate_exhaustive(max_worlds, atom_list, domain_size, arity)
     elif mode == "random":
+        # closing one model's order takes more than max_worlds**3 steps
+        if max_worlds ** 3 > MODEL_BUDGET:
+            raise BudgetExceeded(
+                f"random models on up to {max_worlds} worlds exceed the {MODEL_BUDGET} budget")
         yield from _generate_random(max_worlds, atom_list, domain_size, arity, seed, count)
     else:
         raise ModelError(f"unknown mode {mode!r}")

@@ -20,6 +20,15 @@ Rule sets:
   intqcl-tree  intqcl minus {id, id_q, bot_l, imp_l, forall_l, forall_r,
                exists_r, ref, tra, nd, cd}
 
+The logical rules are written once, as the rows of one table (`RULES`):
+the connective and side of the principal, whether the premises keep it,
+and the pieces each premise adds at one world.  `premises_for` places the
+pieces at labels, after the relational, domain and eigenvariable side
+conditions; the nested calculi (`nested.py`) read the same rows.  The
+classes of rules (`CONSUMES`, `COPIES`, the eigen and instantiating rules)
+and candidate enumeration are read off the table too.  The saturation
+rules (ref, tra, nd, cd) each add one atom (`ADDED_ATOM`).
+
 The admissible-rule tags (lsub, psub, wk, ctr_*, cut) are supported by the
 checker only; proof search and the transformation engine never emit them.
 
@@ -29,11 +38,10 @@ Text format: ``w<=v, a in D(w), w: p(#a) => v: p(#a)``.
 from __future__ import annotations
 
 import enum
-import itertools
 import operator
 from bisect import insort_right
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 from .formula import (
     And,
@@ -42,13 +50,11 @@ from .formula import (
     Exists,
     Forall,
     Formula,
-    FormulaError,
     Impl,
     InternedValue,
     Neg,
     Or,
     Param,
-    Var,
     cache_hash,
     cached,
     params_of,
@@ -391,20 +397,11 @@ class Rule(enum.Enum):
     CUT = "cut"
 
 
-ARITY = {
-    Rule.ID: 0, Rule.ID_Q: 0, Rule.BOT_L: 0, Rule.ID_STAR: 0, Rule.ID_Q_STAR: 0,
-    Rule.AND_L: 1, Rule.OR_R: 1, Rule.IMP_R: 1, Rule.REF: 1, Rule.TRA: 1,
-    Rule.FORALL_L: 1, Rule.FORALL_R: 1, Rule.EXISTS_L: 1, Rule.EXISTS_R: 1,
-    Rule.ND: 1, Rule.CD: 1, Rule.NEG_L: 1, Rule.NEG_R: 1,
-    Rule.FORALL_L_STAR: 1, Rule.FORALL_R_STAR: 1, Rule.EXISTS_R_STAR: 1,
-    Rule.LIFT: 1, Rule.LSUB: 1, Rule.PSUB: 1, Rule.WK: 1,
-    Rule.CTR_R: 1, Rule.CTR_FL: 1, Rule.CTR_FR: 1,
-    Rule.AND_R: 2, Rule.OR_L: 2, Rule.IMP_L: 2, Rule.IMP_L_STAR: 2, Rule.CUT: 2,
-}
-
-ADMISSIBLE_TAGS = frozenset(
-    {Rule.LSUB, Rule.PSUB, Rule.WK, Rule.CTR_R, Rule.CTR_FL, Rule.CTR_FR, Rule.CUT}
-)
+# the premises of each admissible tag; a logical rule's come from its row
+# and a saturation rule has one
+_TAG_ARITY = {Rule.LSUB: 1, Rule.PSUB: 1, Rule.WK: 1, Rule.CTR_R: 1, Rule.CTR_FL: 1,
+              Rule.CTR_FR: 1, Rule.CUT: 2}
+ADMISSIBLE_TAGS = frozenset(_TAG_ARITY)
 
 _G3INT = frozenset(
     {Rule.ID, Rule.BOT_L, Rule.AND_L, Rule.AND_R, Rule.OR_L, Rule.OR_R,
@@ -447,26 +444,116 @@ def rules_of(calc: str, with_tags: bool = True) -> frozenset[Rule]:
     return base | ADMISSIBLE_TAGS if with_tags else base
 
 
-STRUCTURAL = frozenset({Rule.REF, Rule.TRA, Rule.ND, Rule.CD})
+# the saturation rules, each of which adds one relational or domain atom
+ADDED_ATOM = {
+    Rule.REF: lambda w: RelAtom(w.label, w.label),
+    Rule.TRA: lambda w: RelAtom(w.rel.w, w.rel2.v),
+    Rule.ND: lambda w: DomAtom(w.dom.a, w.rel.v),
+    Rule.CD: lambda w: DomAtom(w.dom.a, w.rel.w),
+}
+STRUCTURAL = frozenset(ADDED_ATOM)
 DERIVED = frozenset(
     {Rule.ID, Rule.ID_Q, Rule.BOT_L, Rule.IMP_L, Rule.FORALL_L, Rule.FORALL_R,
      Rule.EXISTS_R}
 )
 
-# The classes of the logical rules, as the schemas in `premises_for` define
-# them.  A consuming rule replaces its principal formula, which sits on the
-# side given, by smaller pieces; a copy rule keeps its principal.  Both are
-# listed in the order proof search tries them.  The eigen rules take a fresh
-# label or parameter from their witness.
-CONSUMES = {
-    Rule.AND_L: "ante", Rule.OR_R: "succ", Rule.AND_R: "succ", Rule.OR_L: "ante",
-    Rule.IMP_R: "succ", Rule.NEG_R: "succ", Rule.FORALL_R: "succ",
-    Rule.FORALL_R_STAR: "succ", Rule.EXISTS_L: "ante",
+# ---------------------------------------------------------------------------
+# the rule table
+#
+# Each logical rule is one row, read at one world of the tree.  The paper's
+# nested rules are its treelike labelled rules read at one node, so
+# `premises_for` and `nested.nested_premises_for` place the same pieces, the
+# one at labels and the other in the tree.  A row gives the connective of
+# the principal (None: any formula), the side it sits on, whether the
+# premises keep it (the copy rules do), and a function of the principal and
+# the parameter (the eigen- or instantiating parameter; None in the
+# propositional rules) that gives, for each premise, the tuple
+#
+#   (ante, succ, world, above)
+#
+# of the formulas the premise adds to the antecedent and the succedent at
+# its world, the (ante, succ) content of a new world above it or None, and
+# the formulas it adds to the antecedent of the world above.  A closing rule
+# has no premises and no function.
+#
+# `at` says where the labelled rule puts its pieces: at the principal's
+# label (HERE), at a fresh eigenlabel above it, which is also the new world
+# (EIGEN), or at the upper label of its relational witness, which is also
+# the world above (REL).  The placement is all that separates imp_l,
+# forall_l, forall_r, id and id_q from their starred rows; exists_r differs
+# from exists_r_star only in its domain side condition.  The rows are in the
+# order proof search tries them.
+
+HERE, EIGEN, REL = "here", "eigen", "rel"
+
+
+@dataclass(frozen=True, slots=True)
+class Row:
+    shape: type | None
+    side: str
+    keeps: bool
+    pieces: Callable | None
+    at: str = HERE
+
+
+def _inst(f, a: Param) -> Formula:
+    return substitute_param(f.body, a, f.var)
+
+
+def _ante_inst(f, a):
+    return (((_inst(f, a),), (), None, ()),)
+
+
+def _succ_inst(f, a):
+    return (((), (_inst(f, a),), None, ()),)
+
+
+def _imp_l(f, a):
+    return (((), (f.left,), None, ()), ((f.right,), (), None, ()))
+
+
+RULES: dict[Rule, Row] = {
+    # closing rules
+    Rule.BOT_L: Row(Bot, "ante", True, None),
+    Rule.ID: Row(Atom, "ante", True, None, REL),
+    Rule.ID_Q: Row(Atom, "ante", True, None, REL),
+    Rule.ID_STAR: Row(Atom, "ante", True, None),
+    Rule.ID_Q_STAR: Row(Atom, "ante", True, None),
+    # consuming rules
+    Rule.AND_L: Row(And, "ante", False, lambda f, a: (((f.left, f.right), (), None, ()),)),
+    Rule.OR_R: Row(Or, "succ", False, lambda f, a: (((), (f.left, f.right), None, ()),)),
+    Rule.AND_R: Row(And, "succ", False,
+                    lambda f, a: (((), (f.left,), None, ()), ((), (f.right,), None, ()))),
+    Rule.OR_L: Row(Or, "ante", False,
+                   lambda f, a: (((f.left,), (), None, ()), ((f.right,), (), None, ()))),
+    Rule.IMP_R: Row(Impl, "succ", False,
+                    lambda f, a: (((), (), ((f.left,), (f.right,)), ()),), EIGEN),
+    Rule.NEG_R: Row(Neg, "succ", False, lambda f, a: (((), (), ((f.body,), ()), ()),), EIGEN),
+    Rule.FORALL_R: Row(Forall, "succ", False, _succ_inst, EIGEN),
+    Rule.FORALL_R_STAR: Row(Forall, "succ", False, _succ_inst),
+    Rule.EXISTS_L: Row(Exists, "ante", False, _ante_inst),
+    # copy rules
+    Rule.NEG_L: Row(Neg, "ante", True, lambda f, a: (((), (f.body,), None, ()),)),
+    Rule.LIFT: Row(None, "ante", True, lambda f, a: (((), (), None, (f,)),), REL),
+    Rule.FORALL_L: Row(Forall, "ante", True, _ante_inst, REL),
+    Rule.FORALL_L_STAR: Row(Forall, "ante", True, _ante_inst),
+    Rule.EXISTS_R: Row(Exists, "succ", True, _succ_inst),
+    Rule.EXISTS_R_STAR: Row(Exists, "succ", True, _succ_inst),
+    Rule.IMP_L: Row(Impl, "ante", True, _imp_l, REL),
+    Rule.IMP_L_STAR: Row(Impl, "ante", True, _imp_l),
 }
-COPIES = (Rule.NEG_L, Rule.LIFT, Rule.FORALL_L, Rule.FORALL_L_STAR,
-          Rule.EXISTS_R, Rule.EXISTS_R_STAR, Rule.IMP_L, Rule.IMP_L_STAR)
-EIGEN_LABEL = frozenset({Rule.IMP_R, Rule.NEG_R, Rule.FORALL_R})
-EIGEN_PARAM = frozenset({Rule.FORALL_R, Rule.FORALL_R_STAR, Rule.EXISTS_L})
+
+# The classes of the logical rules, read off the table.  A consuming rule
+# replaces its principal, on the side given, by its pieces; a copy rule
+# keeps it.  The eigen rules take a fresh label or parameter from their
+# witness; the instantiating rules name a parameter by a domain atom.
+CLOSERS = tuple(r for r, row in RULES.items() if row.pieces is None)
+CONSUMES = {r: row.side for r, row in RULES.items()
+            if row.pieces is not None and not row.keeps}
+COPIES = tuple(r for r, row in RULES.items() if row.pieces is not None and row.keeps)
+EIGEN_LABEL = frozenset(r for r, row in RULES.items() if row.at == EIGEN)
+EIGEN_PARAM = frozenset(r for r in CONSUMES if RULES[r].shape in (Forall, Exists))
+INSTANTIATES = frozenset(r for r in COPIES if RULES[r].shape in (Forall, Exists))
 
 
 @dataclass(frozen=True)
@@ -539,225 +626,127 @@ class LabelledDerivation:
 # conclusion, witness), or raises SequentError naming the violated side
 # condition.  check_inference compares them with the supplied premises.
 
-def _need(cond: bool, msg: str) -> None:
+def _need(cond: bool, msg: str, *args) -> None:
+    """Raise SequentError(msg) unless cond; with args, msg is a format
+    string filled in only then."""
     if not cond:
-        raise SequentError(msg)
-
-
-def _occurs_label(s: LabelledSequent, l: Label) -> bool:
-    return l in s.labels()
-
-
-def _occurs_param(s: LabelledSequent, a: Param) -> bool:
-    return a in s.params()
-
-
-def _atom_formula(f: Formula) -> Atom:
-    _need(isinstance(f, Atom), f"principal formula {show_formula(f)} is not atomic")
-    return f  # type: ignore[return-value]
-
-
-def _required_dom(p: Atom, w: Label) -> list[DomAtom]:
-    return [DomAtom(a, w) for a in dict.fromkeys(t for t in p.args if isinstance(t, Param))]
+        raise SequentError(msg.format(*args) if args else msg)
 
 
 def premises_for(
     rule: Rule, conclusion: LabelledSequent, w: Witness
 ) -> tuple[LabelledSequent, ...]:
     s = conclusion
-    if rule in (Rule.ID, Rule.ID_Q):
-        _need(w.principal is not None and w.formula is not None and w.rel is not None,
-              "id needs principal, formula and rel witnesses")
-        (wl, pf) = w.principal
-        (vl, pf2) = w.formula
-        p = _atom_formula(pf)
-        _need(pf2 == pf, "id: antecedent and succedent atoms differ")
-        _need(w.rel == RelAtom(wl, vl), "id: rel witness must be w<=v for w:p, v:p")
-        _need(w.rel in s.rel, "id: relational atom not in sequent")
-        _need(w.principal in s.ante, "id: antecedent atom not present")
-        _need(w.formula in s.succ, "id: succedent atom not present")
-        if rule is Rule.ID:
-            _need(not p.args, "id: use id_q for predicates with arguments")
-        for d in _required_dom(p, wl):
-            _need(d in s.dom, f"id_q: missing domain atom {d!r}")
+    row = RULES.get(rule)
+    if row is None:
+        return (_saturation_premise(rule, s, w),)
+    _need(w.principal is not None, "{0.value} needs a principal witness", rule)
+    f = w.principal[1]
+    _need(row.shape is None or isinstance(f, row.shape),
+          "{0.value}: principal has the wrong shape", rule)
+    _need(w.principal in (s.ante if row.side == "ante" else s.succ),
+          "{0.value}: principal occurrence not present", rule)
+    _side_conditions(rule, row, s, w)
+    if row.pieces is None:
         return ()
-    if rule in (Rule.ID_STAR, Rule.ID_Q_STAR):
-        _need(w.principal is not None and w.formula is not None,
-              "id* needs principal and formula witnesses")
-        (wl, pf) = w.principal
-        (wl2, pf2) = w.formula
-        p = _atom_formula(pf)
-        _need(pf2 == pf and wl2 == wl, "id*: both occurrences must be w:p")
-        _need(w.principal in s.ante, "id*: antecedent atom not present")
-        _need(w.formula in s.succ, "id*: succedent atom not present")
-        if rule is Rule.ID_STAR:
-            _need(not p.args, "id*: use id_q_star for predicates with arguments")
+    if not row.keeps:
+        s = s.remove(ante=[w.principal]) if row.side == "ante" else s.remove(succ=[w.principal])
+    return tuple(s.add(*p) for p in placed(rule, w))
+
+
+def placement(rule: Rule, w: Witness) -> tuple[Label, Param | None]:
+    """The label at which the logical rule puts its pieces, and the
+    parameter its row reads: the eigenparameter or the instantiating one."""
+    at = RULES[rule].at
+    label = w.principal[0] if at == HERE else w.label if at == EIGEN else w.rel.v
+    if rule in EIGEN_PARAM:
+        return label, w.param
+    return label, (w.dom.a if rule in INSTANTIATES else None)
+
+
+def placed(rule: Rule, w: Witness) -> list[tuple]:
+    """The pieces of each premise of the logical rule, placed at labels:
+    the (rel, dom, ante, succ) that the premise adds.  All of a premise's
+    formulas go to one label, since a row with a new world is placed at
+    its eigenlabel and a row with pieces above at its relational witness's
+    upper label.  An eigenlabel comes with its relational atom and an
+    eigenparameter with its domain atom."""
+    label, a = placement(rule, w)
+    rel = (RelAtom(w.principal[0], label),) if rule in EIGEN_LABEL else ()
+    dom = (DomAtom(a, label),) if rule in EIGEN_PARAM else ()
+    out = []
+    for (ante, succ, world, above) in RULES[rule].pieces(w.principal[1], a):
+        if world is not None:
+            ante, succ = ante + world[0], succ + world[1]
+        ante += above
+        out.append((rel, dom, [(label, g) for g in ante] if ante else (),
+                    [(label, g) for g in succ] if succ else ()))
+    return out
+
+
+def _side_conditions(rule: Rule, row: Row, s: LabelledSequent, w: Witness) -> None:
+    """The relational, domain and eigenvariable conditions of a logical
+    rule, and the other occurrence of a closing one."""
+    (wl, f) = w.principal
+    if row.at == REL:
+        _need(w.rel is not None and w.rel in s.rel, "{0.value}: rel witness not in sequent", rule)
+        _need(w.rel.w == wl, "{0.value}: rel witness must start at the principal's label", rule)
+    elif row.at == EIGEN:
+        _need(w.label is not None, "{0.value} needs an eigenlabel", rule)
+        _need(w.label not in s.labels(), "eigenvariable {0!r} occurs in conclusion", w.label)
+    if rule in EIGEN_PARAM:
+        _need(w.param is not None, "{0.value} needs an eigenparameter", rule)
+        _need(w.param not in s.params(), "eigenvariable {0!r} occurs in conclusion", w.param)
+    elif rule in INSTANTIATES:
+        _need(w.dom is not None and w.dom in s.dom, "{0.value}: domain atom not present", rule)
+        if rule is Rule.FORALL_L:
+            _need(w.dom.w == w.rel.v, "forall_l: domain atom must sit at the upper label")
+        elif rule is Rule.EXISTS_R:
+            _need(w.dom.w == wl, "exists_r: domain atom must sit at the principal label")
         else:
-            for a in dict.fromkeys(t for t in p.args if isinstance(t, Param)):
-                _need(
-                    any(d.a == a and path_exists(s.rel, d.w, wl) for d in s.dom),
-                    f"id_q*: no domain atom for {a!r} with a path to {wl!r}",
-                )
-        return ()
-    if rule is Rule.BOT_L:
-        _need(w.principal is not None, "bot_l needs a principal witness")
-        (wl, f) = w.principal
-        _need(isinstance(f, Bot), "bot_l: principal must be false")
-        _need(w.principal in s.ante, "bot_l: principal not present")
-        return ()
-    if rule is Rule.AND_L:
-        (wl, f) = _principal_in(s.ante, w, And, "and_l")
-        return (s.remove(ante=[w.principal]).add(ante=[(wl, f.left), (wl, f.right)]),)
-    if rule is Rule.AND_R:
-        (wl, f) = _principal_in(s.succ, w, And, "and_r")
-        base = s.remove(succ=[w.principal])
-        return (base.add(succ=[(wl, f.left)]), base.add(succ=[(wl, f.right)]))
-    if rule is Rule.OR_L:
-        (wl, f) = _principal_in(s.ante, w, Or, "or_l")
-        base = s.remove(ante=[w.principal])
-        return (base.add(ante=[(wl, f.left)]), base.add(ante=[(wl, f.right)]))
-    if rule is Rule.OR_R:
-        (wl, f) = _principal_in(s.succ, w, Or, "or_r")
-        return (s.remove(succ=[w.principal]).add(succ=[(wl, f.left), (wl, f.right)]),)
-    if rule is Rule.IMP_L:
-        (wl, f) = _principal_in(s.ante, w, Impl, "imp_l")
-        _need(w.rel is not None and w.rel in s.rel, "imp_l: rel witness not in sequent")
-        _need(w.rel.w == wl, "imp_l: rel witness must start at the principal's label")
-        vl = w.rel.v
-        return (s.add(succ=[(vl, f.left)]), s.add(ante=[(vl, f.right)]))
-    if rule is Rule.IMP_L_STAR:
-        (wl, f) = _principal_in(s.ante, w, Impl, "imp_l_star")
-        return (s.add(succ=[(wl, f.left)]), s.add(ante=[(wl, f.right)]))
-    if rule is Rule.IMP_R:
-        (wl, f) = _principal_in(s.succ, w, Impl, "imp_r")
-        _need(w.label is not None, "imp_r needs an eigenlabel")
-        _need(not _occurs_label(s, w.label),
-              f"eigenvariable {w.label!r} occurs in conclusion")
-        vl = w.label
-        return (
-            s.remove(succ=[w.principal]).add(
-                rel=[RelAtom(wl, vl)], ante=[(vl, f.left)], succ=[(vl, f.right)]
-            ),
-        )
-    if rule is Rule.NEG_R:
-        (wl, f) = _principal_in(s.succ, w, Neg, "neg_r")
-        _need(w.label is not None, "neg_r needs an eigenlabel")
-        _need(not _occurs_label(s, w.label),
-              f"eigenvariable {w.label!r} occurs in conclusion")
-        vl = w.label
-        return (
-            s.remove(succ=[w.principal]).add(rel=[RelAtom(wl, vl)], ante=[(vl, f.body)]),
-        )
-    if rule is Rule.NEG_L:
-        (wl, f) = _principal_in(s.ante, w, Neg, "neg_l")
-        return (s.add(succ=[(wl, f.body)]),)
+            _need(path_exists(s.rel, w.dom.w, wl),
+                  "{0.value}: no path from {1!r} to {2!r}", rule, w.dom.w, wl)
+    if row.shape is not Atom:
+        return
+    # the id family: the same atom in the succedent where the row places it
+    at = wl if row.at == HERE else w.rel.v
+    _need(w.formula == (at, f), "{0.value}: the succedent occurrence must sit at {1!r}", rule, at)
+    _need(w.formula in s.succ, "{0.value}: succedent atom not present", rule)
+    if rule in (Rule.ID, Rule.ID_STAR):
+        _need(not f.args, "{0.value}: predicates with arguments need the id_q rules", rule)
+        return
+    for a in dict.fromkeys(t for t in f.args if isinstance(t, Param)):
+        if rule is Rule.ID_Q:
+            _need(DomAtom(a, wl) in s.dom, "id_q: missing domain atom {0!r}", DomAtom(a, wl))
+        else:
+            _need(any(d.a == a and path_exists(s.rel, d.w, wl) for d in s.dom),
+                  "id_q*: no domain atom for {0!r} with a path to {1!r}", a, wl)
+
+
+def _saturation_premise(rule: Rule, s: LabelledSequent, w: Witness) -> LabelledSequent:
     if rule is Rule.REF:
         _need(w.label is not None, "ref needs a label witness")
-        return (s.add(rel=[RelAtom(w.label, w.label)]),)
+        return s.add(rel=[ADDED_ATOM[rule](w)])
     if rule is Rule.TRA:
         _need(w.rel is not None and w.rel2 is not None, "tra needs two rel witnesses")
         _need(w.rel in s.rel and w.rel2 in s.rel, "tra: witnesses not in sequent")
         _need(w.rel.v == w.rel2.w, "tra: witnesses do not compose")
-        return (s.add(rel=[RelAtom(w.rel.w, w.rel2.v)]),)
-    if rule is Rule.FORALL_R:
-        (wl, f) = _principal_in(s.succ, w, Forall, "forall_r")
-        _need(w.label is not None and w.param is not None,
-              "forall_r needs eigenlabel and eigenparameter")
-        _need(not _occurs_label(s, w.label),
-              f"eigenvariable {w.label!r} occurs in conclusion")
-        _need(not _occurs_param(s, w.param),
-              f"eigenvariable {w.param!r} occurs in conclusion")
-        vl = w.label
-        inst = substitute_param(f.body, w.param, f.var)
-        return (
-            s.remove(succ=[w.principal]).add(
-                rel=[RelAtom(wl, vl)], dom=[DomAtom(w.param, vl)], succ=[(vl, inst)]
-            ),
-        )
-    if rule is Rule.FORALL_R_STAR:
-        (wl, f) = _principal_in(s.succ, w, Forall, "forall_r_star")
-        _need(w.param is not None, "forall_r_star needs an eigenparameter")
-        _need(not _occurs_param(s, w.param),
-              f"eigenvariable {w.param!r} occurs in conclusion")
-        inst = substitute_param(f.body, w.param, f.var)
-        return (
-            s.remove(succ=[w.principal]).add(
-                dom=[DomAtom(w.param, wl)], succ=[(wl, inst)]
-            ),
-        )
-    if rule is Rule.EXISTS_L:
-        (wl, f) = _principal_in(s.ante, w, Exists, "exists_l")
-        _need(w.param is not None, "exists_l needs an eigenparameter")
-        _need(not _occurs_param(s, w.param),
-              f"eigenvariable {w.param!r} occurs in conclusion")
-        inst = substitute_param(f.body, w.param, f.var)
-        return (
-            s.remove(ante=[w.principal]).add(
-                dom=[DomAtom(w.param, wl)], ante=[(wl, inst)]
-            ),
-        )
-    if rule is Rule.EXISTS_R:
-        (wl, f) = _principal_in(s.succ, w, Exists, "exists_r")
-        _need(w.dom is not None and w.dom in s.dom, "exists_r: domain atom not present")
-        _need(w.dom.w == wl, "exists_r: domain atom must sit at the principal label")
-        inst = substitute_param(f.body, w.dom.a, f.var)
-        return (s.add(succ=[(wl, inst)]),)
-    if rule is Rule.EXISTS_R_STAR:
-        (wl, f) = _principal_in(s.succ, w, Exists, "exists_r_star")
-        _need(w.dom is not None and w.dom in s.dom,
-              "exists_r_star: domain atom not present")
-        _need(path_exists(s.rel, w.dom.w, wl),
-              f"exists_r_star: no path from {w.dom.w!r} to {wl!r}")
-        inst = substitute_param(f.body, w.dom.a, f.var)
-        return (s.add(succ=[(wl, inst)]),)
-    if rule is Rule.FORALL_L:
-        (wl, f) = _principal_in(s.ante, w, Forall, "forall_l")
-        _need(w.rel is not None and w.rel in s.rel, "forall_l: rel witness not present")
-        _need(w.rel.w == wl, "forall_l: rel witness must start at the principal label")
-        _need(w.dom is not None and w.dom in s.dom, "forall_l: domain atom not present")
-        _need(w.dom.w == w.rel.v, "forall_l: domain atom must sit at the upper label")
-        inst = substitute_param(f.body, w.dom.a, f.var)
-        return (s.add(ante=[(w.rel.v, inst)]),)
-    if rule is Rule.FORALL_L_STAR:
-        (wl, f) = _principal_in(s.ante, w, Forall, "forall_l_star")
-        _need(w.dom is not None and w.dom in s.dom,
-              "forall_l_star: domain atom not present")
-        _need(path_exists(s.rel, w.dom.w, wl),
-              f"forall_l_star: no path from {w.dom.w!r} to {wl!r}")
-        inst = substitute_param(f.body, w.dom.a, f.var)
-        return (s.add(ante=[(wl, inst)]),)
-    if rule is Rule.ND:
-        _need(w.rel is not None and w.rel in s.rel, "nd: rel witness not present")
-        _need(w.dom is not None and w.dom in s.dom, "nd: domain atom not present")
-        _need(w.dom.w == w.rel.w, "nd: domain atom must sit at the lower label")
-        return (s.add(dom=[DomAtom(w.dom.a, w.rel.v)]),)
-    if rule is Rule.CD:
-        _need(w.rel is not None and w.rel in s.rel, "cd: rel witness not present")
-        _need(w.dom is not None and w.dom in s.dom, "cd: domain atom not present")
-        _need(w.dom.w == w.rel.v, "cd: domain atom must sit at the upper label")
-        return (s.add(dom=[DomAtom(w.dom.a, w.rel.w)]),)
-    if rule is Rule.LIFT:
-        _need(w.principal is not None and w.principal in s.ante,
-              "lift: principal not present")
-        _need(w.rel is not None and w.rel in s.rel, "lift: rel witness not present")
-        (wl, f) = w.principal
-        _need(w.rel.w == wl, "lift: rel witness must start at the principal label")
-        return (s.add(ante=[(w.rel.v, f)]),)
+        return s.add(rel=[ADDED_ATOM[rule](w)])
+    if rule in (Rule.ND, Rule.CD):
+        _need(w.rel is not None and w.rel in s.rel, "{0.value}: rel witness not present", rule)
+        _need(w.dom is not None and w.dom in s.dom, "{0.value}: domain atom not present", rule)
+        lower = rule is Rule.ND
+        _need(w.dom.w == (w.rel.w if lower else w.rel.v),
+              "{0.value}: domain atom must sit at the {1} label", rule,
+              "lower" if lower else "upper")
+        return s.add(dom=[ADDED_ATOM[rule](w)])
     raise SequentError(f"premises_for does not handle {rule.value}")
-
-
-def _principal_in(side, w: Witness, cls, name: str):
-    _need(w.principal is not None, f"{name} needs a principal witness")
-    (wl, f) = w.principal
-    _need(isinstance(f, cls), f"{name}: principal has the wrong shape")
-    _need(w.principal in side, f"{name}: principal occurrence not present")
-    return (wl, f)
 
 
 def _check_admissible(
     rule: Rule, conclusion: LabelledSequent, premises, w: Witness
 ) -> None:
-    _need(len(premises) == ARITY[rule], f"{rule.value}: wrong number of premises")
+    _need(len(premises) == _TAG_ARITY[rule], f"{rule.value}: wrong number of premises")
     if rule is Rule.WK:
         _need(premises[0].is_subset_of(conclusion),
               "wk: premise is not a sub-multiset of the conclusion")
@@ -940,91 +929,66 @@ def _fresh_param(s: LabelledSequent) -> Param:
     return fresh_params({p.name for p in s.params()})[0]
 
 
-_ANTE_SHAPE = {Rule.AND_L: And, Rule.OR_L: Or, Rule.NEG_L: Neg, Rule.IMP_L_STAR: Impl,
-               Rule.EXISTS_L: Exists, Rule.FORALL_L_STAR: Forall, Rule.BOT_L: Bot}
-_SUCC_SHAPE = {Rule.AND_R: And, Rule.OR_R: Or, Rule.IMP_R: Impl, Rule.NEG_R: Neg,
-               Rule.FORALL_R: Forall, Rule.FORALL_R_STAR: Forall,
-               Rule.EXISTS_R: Exists, Rule.EXISTS_R_STAR: Exists}
-
-
 def _candidate_witnesses(
     rule: Rule, s: LabelledSequent, ix: SequentIndex | None = None
 ) -> Iterator[Witness]:
     """The witnesses worth trying for rule on s, read off the index of s
-    (built here when not given).  Eigenvariables are fresh; premises_for
-    still checks every side condition."""
+    (built here when not given) and the rule's row.  Eigenvariables are
+    fresh; premises_for still checks every side condition."""
     if ix is None:
         ix = SequentIndex(s)
+    row = RULES.get(rule)
+    if row is None:  # the saturation rules
+        if rule is Rule.REF:
+            for l in sorted(s.labels(), key=lambda x: x.name):
+                yield Witness(label=l)
+        elif rule is Rule.TRA:
+            for r1 in ix.rel:
+                for r2 in ix.rel_from.get(r1.v, ()):
+                    yield Witness(rel=r1, rel2=r2)
+        elif rule in (Rule.ND, Rule.CD):
+            for r in ix.rel:
+                at = r.w if rule is Rule.ND else r.v
+                for d in ix.dom:
+                    if d.w == at:
+                        yield Witness(rel=r, dom=d)
+        return
     if rule in (Rule.ID, Rule.ID_Q):
         for r in ix.rel:
             succ = ix.succ_at.get(r.v, ())
             for f in ix.ante_at.get(r.w, ()):
                 if isinstance(f, Atom) and f in succ:
                     yield Witness(principal=(r.w, f), formula=(r.v, f), rel=r)
-    elif rule in (Rule.ID_STAR, Rule.ID_Q_STAR):
-        for occ in ix.ante_of.get(Atom, ()):
+        return
+    if row.shape is None:
+        occs = ix.ante
+    else:
+        occs = (ix.ante_of if row.side == "ante" else ix.succ_of).get(row.shape, ())
+    if row.shape is Atom:  # id*, id_q*
+        for occ in occs:
             if occ in ix.succ:
                 yield Witness(principal=occ, formula=occ)
-    elif rule in _ANTE_SHAPE:
-        occs = ix.ante_of.get(_ANTE_SHAPE[rule], ())
+    elif rule in EIGEN_LABEL or rule in EIGEN_PARAM:
         if not occs:
             return
-        if rule is Rule.EXISTS_L:
-            a = _fresh_param(s)
-            for occ in occs:
-                yield Witness(principal=occ, param=a)
-        elif rule is Rule.FORALL_L_STAR:
-            # instantiation is witnessed by a domain atom already present
-            for occ in occs:
-                for d in ix.dom:
-                    yield Witness(principal=occ, dom=d)
-        else:
-            for occ in occs:
-                yield Witness(principal=occ)
-    elif rule in _SUCC_SHAPE:
-        occs = ix.succ_of.get(_SUCC_SHAPE[rule], ())
-        if not occs:
-            return
-        if rule in (Rule.IMP_R, Rule.NEG_R):
-            v = _fresh_label(s)
-            for occ in occs:
-                yield Witness(principal=occ, label=v)
-        elif rule is Rule.FORALL_R:
-            v, a = _fresh_label(s), _fresh_param(s)
-            for occ in occs:
-                yield Witness(principal=occ, label=v, param=a)
-        elif rule is Rule.FORALL_R_STAR:
-            a = _fresh_param(s)
-            for occ in occs:
-                yield Witness(principal=occ, param=a)
-        elif rule in (Rule.EXISTS_R, Rule.EXISTS_R_STAR):
-            for occ in occs:
-                for d in ix.dom:
-                    yield Witness(principal=occ, dom=d)
-        else:
-            for occ in occs:
-                yield Witness(principal=occ)
-    elif rule in (Rule.IMP_L, Rule.LIFT):
-        occs = ix.ante_of.get(Impl, ()) if rule is Rule.IMP_L else ix.ante
+        v = _fresh_label(s) if rule in EIGEN_LABEL else None
+        a = _fresh_param(s) if rule in EIGEN_PARAM else None
+        for occ in occs:
+            yield Witness(principal=occ, label=v, param=a)
+    elif row.at == REL:
         for occ in occs:
             for r in ix.rel_from.get(occ[0], ()):
-                yield Witness(principal=occ, rel=r)
-    elif rule is Rule.REF:
-        for l in sorted(s.labels(), key=lambda x: x.name):
-            yield Witness(label=l)
-    elif rule is Rule.TRA:
-        for r1 in ix.rel:
-            for r2 in ix.rel_from.get(r1.v, ()):
-                yield Witness(rel=r1, rel2=r2)
-    elif rule is Rule.FORALL_L:
-        for occ in ix.ante_of.get(Forall, ()):
-            for r in ix.rel_from.get(occ[0], ()):
-                for d in ix.dom:
-                    if d.w == r.v:
-                        yield Witness(principal=occ, rel=r, dom=d)
-    elif rule in (Rule.ND, Rule.CD):
-        for r in ix.rel:
-            at = r.w if rule is Rule.ND else r.v
+                if rule in INSTANTIATES:  # forall_l: a domain atom at the upper label
+                    for d in ix.dom:
+                        if d.w == r.v:
+                            yield Witness(principal=occ, rel=r, dom=d)
+                else:
+                    yield Witness(principal=occ, rel=r)
+    elif rule in INSTANTIATES:
+        # instantiation is witnessed by a domain atom already present
+        for occ in occs:
             for d in ix.dom:
-                if d.w == at:
-                    yield Witness(rel=r, dom=d)
+                yield Witness(principal=occ, dom=d)
+    else:
+        for occ in occs:
+            yield Witness(principal=occ)

@@ -18,6 +18,12 @@ Rule sets:
                            which keep a copy of the principal (and imp_r,
                            neg_r, forall_r, exists_l, the shared rules)
 
+A nested rule has no schema of its own: it is the image of a treelike
+labelled rule (`RULE_TO_NESTED`) and reads that rule's row of the table in
+`labelled.py` (`NESTED_ROWS`), whose pieces `nested_premises_for` places at
+the hole, in a new bracket or in a child; Fitting's calculi use the same
+rows with every rule consuming its principal.
+
 Text format: ``p(#a) -> p(#b), [false -> forall x. q(x,#b)]``.  The sequent
 arrow is the first top-level ``->``; implications and quantified formulas
 inside the antecedent list must be parenthesised.
@@ -31,24 +37,29 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .formula import (
-    And,
-    Atom,
-    Bot,
     Exists,
     Forall,
     Formula,
     Impl,
-    Neg,
-    Or,
     Param,
     cached,
     fkey,
     params_of,
     parse_formula,
     show_formula,
-    substitute_param,
 )
-from .labelled import Rule, SequentError, _insert, _remove, check_nodes, fresh_params
+from .labelled import (
+    CALCULI,
+    EIGEN_PARAM,
+    INSTANTIATES,
+    RULES,
+    SequentError,
+    _insert,
+    _need,
+    _remove,
+    check_nodes,
+    fresh_params,
+)
 
 
 @dataclass(frozen=True)
@@ -271,13 +282,16 @@ class NRule(enum.Enum):
     EXISTS_R = "exists_r"
 
 
-_PROP = frozenset(
-    {NRule.ID, NRule.AND_L, NRule.AND_R, NRule.OR_L, NRule.OR_R, NRule.NEG_L,
-     NRule.NEG_R, NRule.IMP_L, NRule.IMP_R, NRule.LIFT}
-)
-_FO = _PROP | frozenset(
-    {NRule.ID_Q, NRule.FORALL_L, NRule.FORALL_R, NRule.EXISTS_L, NRule.EXISTS_R}
-)
+# The treelike labelled rules and the nested rules they become: the paper's
+# correspondence, read rule by rule.  A nested rule is named after its
+# preimage without the star.  Labelled rules outside the treelike rule sets
+# (the structural rules, the derived rules, the world-creating forall_r)
+# have no nested counterpart, and each nested calculus has the images of a
+# treelike rule set.
+RULE_TO_NESTED = {r: NRule(r.value.removesuffix("_star"))
+                  for r in RULES if r in CALCULI["intqcl-tree"]}
+_PROP = frozenset(RULE_TO_NESTED[r] for r in CALCULI["g3int-tree"])
+_FO = frozenset(RULE_TO_NESTED[r] for r in CALCULI["intqcl-tree"])
 
 NESTED_CALCULI: dict[str, frozenset[NRule]] = {
     "nint": _PROP,
@@ -287,42 +301,11 @@ NESTED_CALCULI: dict[str, frozenset[NRule]] = {
 }
 
 
-# The treelike labelled rules and the nested rules they become: the paper's
-# correspondence, read rule by rule.  Labelled rules without an image (the
-# structural rules, the derived rules, the world-creating forall_r) have no
-# nested counterpart.
-RULE_TO_NESTED = {
-    Rule.ID_STAR: NRule.ID,
-    Rule.ID_Q_STAR: NRule.ID_Q,
-    Rule.AND_L: NRule.AND_L,
-    Rule.AND_R: NRule.AND_R,
-    Rule.OR_L: NRule.OR_L,
-    Rule.OR_R: NRule.OR_R,
-    Rule.NEG_L: NRule.NEG_L,
-    Rule.NEG_R: NRule.NEG_R,
-    Rule.IMP_L_STAR: NRule.IMP_L,
-    Rule.IMP_R: NRule.IMP_R,
-    Rule.LIFT: NRule.LIFT,
-    Rule.FORALL_L_STAR: NRule.FORALL_L,
-    Rule.FORALL_R_STAR: NRule.FORALL_R,
-    Rule.EXISTS_L: NRule.EXISTS_L,
-    Rule.EXISTS_R_STAR: NRule.EXISTS_R,
-}
-
-
 def _nested_rules(calc: str) -> frozenset[NRule]:
     try:
         return NESTED_CALCULI[calc]
     except KeyError:
         raise SequentError(f"unknown nested calculus {calc!r}") from None
-
-
-# Fitting's nint/nintqc are the starred calculi in which these copy rules
-# also consume their principal formula, from the side given.
-_FITTING_CONSUMES = {
-    NRule.NEG_L: "ante", NRule.IMP_L: "ante", NRule.LIFT: "ante",
-    NRule.FORALL_L: "ante", NRule.EXISTS_R: "succ",
-}
 
 
 @dataclass(frozen=True)
@@ -355,110 +338,54 @@ class NestedDerivation:
         return out
 
 
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SequentError(msg)
+# each nested rule reads the row of its treelike labelled preimage
+NESTED_ROWS = {n: RULES[r] for r, n in RULE_TO_NESTED.items()}
+_EIGEN_PARAM = frozenset(RULE_TO_NESTED[r] for r in EIGEN_PARAM if r in RULE_TO_NESTED)
+_INSTANTIATE = frozenset(RULE_TO_NESTED[r] for r in INSTANTIATES if r in RULE_TO_NESTED)
 
 
 def nested_premises_for(
     calc: str, rule: NRule, conclusion: NestedSequent, hole: Sequence[int], w: NWitness
 ) -> tuple[NestedSequent, ...]:
-    """Premises demanded by the rule at the hole; context unchanged."""
+    """Premises demanded by the rule at the hole; context unchanged.
+
+    The pieces of the rule's row go to the hole, to a new bracket at the
+    hole, or to the antecedent of its child w.child (lift).  In the starred
+    calculi a rule keeps its principal exactly when its row does; in
+    Fitting's nint/nintqc every rule consumes it."""
     _nested_rules(calc)  # rejects an unknown calculus
-    consume = None if calc.endswith("-star") else _FITTING_CONSUMES.get(rule)
+    row = NESTED_ROWS[rule]
     node = conclusion.at(hole)
     f = w.formula
-
-    def up(new_node: NestedSequent) -> NestedSequent:
-        if consume is not None:
-            new_node = edit(new_node, **{"drop_" + consume: [f]})
-        return conclusion.replace_at(hole, new_node)
-
-    if rule in (NRule.ID, NRule.ID_Q):
-        _need(isinstance(f, Atom), "id: principal must be atomic")
+    _need(f is not None if row.shape is None else isinstance(f, row.shape),
+          "{0.value}: principal has the wrong shape", rule)
+    side = node.ante if row.side == "ante" else node.succ
+    _need(f in side, "{0.value}: principal not present", rule)
+    if row.pieces is None:  # id, id_q
         if rule is NRule.ID:
             _need(not f.args, "id: use id_q for predicates with arguments")
-        _need(f in node.ante and f in node.succ,
-              "id: atom must occur on both sides of the hole node")
+        _need(f in node.succ, "id: atom must occur on both sides of the hole node")
         return ()
-    if rule is NRule.AND_L:
-        _need(isinstance(f, And), "and_l: principal must be a conjunction")
-        _need(f in node.ante, "and_l: principal not present")
-        return (up(edit(node, drop_ante=[f], add_ante=[f.left, f.right])),)
-    if rule is NRule.OR_R:
-        _need(isinstance(f, Or), "or_r: principal must be a disjunction")
-        _need(f in node.succ, "or_r: principal not present")
-        return (up(edit(node, drop_succ=[f], add_succ=[f.left, f.right])),)
-    if rule is NRule.OR_L:
-        _need(isinstance(f, Or), "or_l: principal must be a disjunction")
-        _need(f in node.ante, "or_l: principal not present")
-        return (
-            up(edit(node, drop_ante=[f], add_ante=[f.left])),
-            up(edit(node, drop_ante=[f], add_ante=[f.right])),
-        )
-    if rule is NRule.AND_R:
-        _need(isinstance(f, And), "and_r: principal must be a conjunction")
-        _need(f in node.succ, "and_r: principal not present")
-        return (
-            up(edit(node, drop_succ=[f], add_succ=[f.left])),
-            up(edit(node, drop_succ=[f], add_succ=[f.right])),
-        )
-    if rule is NRule.NEG_R:
-        _need(isinstance(f, Neg), "neg_r: principal must be a negation")
-        _need(f in node.succ, "neg_r: principal not present")
-        child = NestedSequent._presorted((f.body,), (), ())
-        return (up(edit(node, drop_succ=[f], add_children=[child])),)
-    if rule is NRule.NEG_L:
-        _need(isinstance(f, Neg), "neg_l: principal must be a negation")
-        _need(f in node.ante, "neg_l: principal not present")
-        return (up(edit(node, add_succ=[f.body])),)
-    if rule is NRule.IMP_R:
-        _need(isinstance(f, Impl), "imp_r: principal must be an implication")
-        _need(f in node.succ, "imp_r: principal not present")
-        child = NestedSequent._presorted((f.left,), (f.right,), ())
-        return (up(edit(node, drop_succ=[f], add_children=[child])),)
-    if rule is NRule.IMP_L:
-        _need(isinstance(f, Impl), "imp_l: principal must be an implication")
-        _need(f in node.ante, "imp_l: principal not present")
-        return (
-            up(edit(node, add_succ=[f.left])),
-            up(edit(node, add_ante=[f.right])),
-        )
     if rule is NRule.LIFT:
-        _need(f is not None and f in node.ante, "lift: principal not present")
         _need(w.child is not None and 0 <= w.child < len(node.children),
               "lift: invalid child index")
-        new_kid = edit(node.children[w.child], add_ante=[f])
-        return (up(node.replace_at((w.child,), new_kid)),)
-    if rule is NRule.FORALL_R:
-        _need(isinstance(f, Forall), "forall_r: principal must be universal")
-        _need(f in node.succ, "forall_r: principal not present")
-        _need(w.param is not None, "forall_r needs an eigenparameter")
+    elif rule in _EIGEN_PARAM:
+        _need(w.param is not None, "{0.value} needs an eigenparameter", rule)
         _need(w.param not in conclusion.params(),
-              f"eigenvariable {w.param!r} occurs in conclusion")
-        inst = substitute_param(f.body, w.param, f.var)
-        return (up(edit(node, drop_succ=[f], add_succ=[inst])),)
-    if rule is NRule.EXISTS_L:
-        _need(isinstance(f, Exists), "exists_l: principal must be existential")
-        _need(f in node.ante, "exists_l: principal not present")
-        _need(w.param is not None, "exists_l needs an eigenparameter")
-        _need(w.param not in conclusion.params(),
-              f"eigenvariable {w.param!r} occurs in conclusion")
-        inst = substitute_param(f.body, w.param, f.var)
-        return (up(edit(node, drop_ante=[f], add_ante=[inst])),)
-    if rule is NRule.FORALL_L:
-        _need(isinstance(f, Forall), "forall_l: principal must be universal")
-        _need(f in node.ante, "forall_l: principal not present")
-        _need(w.param is not None, "forall_l needs an instantiating parameter")
-        inst = substitute_param(f.body, w.param, f.var)
-        return (up(edit(node, add_ante=[inst])),)
-    if rule is NRule.EXISTS_R:
-        _need(isinstance(f, Exists), "exists_r: principal must be existential")
-        _need(f in node.succ, "exists_r: principal not present")
-        _need(w.param is not None, "exists_r needs an instantiating parameter")
-        inst = substitute_param(f.body, w.param, f.var)
-        return (up(edit(node, add_succ=[inst])),)
-    raise SequentError(f"nested_premises_for does not handle {rule.value}")
+              "eigenvariable {0!r} occurs in conclusion", w.param)
+    elif rule in _INSTANTIATE:
+        _need(w.param is not None, "{0.value} needs an instantiating parameter", rule)
+    drop = () if row.keeps and calc.endswith("-star") else (f,)
+    drop_ante, drop_succ = (drop, ()) if row.side == "ante" else ((), drop)
+    out = []
+    for (ante, succ, world, above) in row.pieces(f, w.param):
+        # a new world holds one formula a side, so its tuples are in order
+        kids = () if world is None else (NestedSequent._presorted(*world, ()),)
+        new = edit(node, drop_ante, drop_succ, ante, succ, kids)
+        if above:
+            new = new.replace_at((w.child,), edit(new.children[w.child], add_ante=above))
+        out.append(conclusion.replace_at(hole, new))
+    return tuple(out)
 
 
 def check_nested_inference(
@@ -512,43 +439,34 @@ def apply_nested_backward(
     return out
 
 
-_N_ANTE_SHAPE = {NRule.AND_L: And, NRule.OR_L: Or, NRule.NEG_L: Neg, NRule.IMP_L: Impl,
-                 NRule.EXISTS_L: Exists, NRule.FORALL_L: Forall}
-_N_SUCC_SHAPE = {NRule.AND_R: And, NRule.OR_R: Or, NRule.NEG_R: Neg, NRule.IMP_R: Impl,
-                 NRule.FORALL_R: Forall, NRule.EXISTS_R: Exists}
-
-
 def _nested_candidates(
     rule: NRule, goal: NestedSequent, node: NestedSequent
 ) -> Iterator[NWitness]:
     """The witnesses worth trying for rule at the hole whose node is
-    `node`; only the first-order rules read the parameters of the goal."""
-    if rule in (NRule.ID, NRule.ID_Q):
-        for f in dict.fromkeys(node.ante):
-            if isinstance(f, Atom) and f in node.succ:
+    `node`, read off the rule's row; only the first-order rules read the
+    parameters of the goal."""
+    row = NESTED_ROWS[rule]
+    side = node.ante if row.side == "ante" else node.succ
+    fs = [f for f in dict.fromkeys(side) if row.shape is None or isinstance(f, row.shape)]
+    if row.pieces is None:  # id, id_q
+        for f in fs:
+            if f in node.succ:
                 yield NWitness(formula=f)
-        return
-    if rule is NRule.LIFT:
-        for f in dict.fromkeys(node.ante):
+    elif rule is NRule.LIFT:
+        for f in fs:
             for i in range(len(node.children)):
                 yield NWitness(formula=f, child=i)
-        return
-    if rule in _N_ANTE_SHAPE:
-        shape, side = _N_ANTE_SHAPE[rule], node.ante
-    else:
-        shape, side = _N_SUCC_SHAPE[rule], node.succ
-    fs = [f for f in dict.fromkeys(side) if isinstance(f, shape)]
-    if not fs:
-        return
-    if rule in (NRule.FORALL_R, NRule.EXISTS_L):
-        a = fresh_params({p.name for p in goal.params()})[0]
-        for f in fs:
-            yield NWitness(formula=f, param=a)
-    elif rule in (NRule.FORALL_L, NRule.EXISTS_R):
-        params = _inst_params(goal)
-        for f in fs:
-            for a in params:
+    elif rule in _EIGEN_PARAM:
+        if fs:
+            a = fresh_params({p.name for p in goal.params()})[0]
+            for f in fs:
                 yield NWitness(formula=f, param=a)
+    elif rule in _INSTANTIATE:
+        if fs:
+            params = _inst_params(goal)
+            for f in fs:
+                for a in params:
+                    yield NWitness(formula=f, param=a)
     else:
         for f in fs:
             yield NWitness(formula=f)

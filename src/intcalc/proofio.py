@@ -15,7 +15,6 @@ from .labelled import (
     DomAtom,
     Label,
     LabelledDerivation,
-    LabelledSequent,
     RelAtom,
     Rule,
     SequentError,

@@ -10,9 +10,11 @@ world-creating step and the derivation node it builds.  Its extras are
 hooks of that notation: the labelled search prunes sequents equal to an
 ancestor up to label renaming and tries copy targets deep in the
 relational order first; the nested search counts the fresh parameters a
-branch has brought in against parameter_budget.  The rule groups are
-written once, over the labelled rules, and a nested calculus uses their
-images under `nested.RULE_TO_NESTED`.
+branch has brought in against parameter_budget.  The rule groups, the
+candidates of each rule and the novelty test (`_adds_new`) are read off
+the one rule table in `labelled.py` (`RULES`), over the labelled rules; a
+nested calculus uses their images under `nested.RULE_TO_NESTED`, and a
+nested rule reads the row of its labelled preimage.
 
 Each node tries, in this order: the closing rules; the exact-repeat and
 notation prunes; relational saturation (labelled only) and the consuming
@@ -81,7 +83,6 @@ from .formula import (
     fkey,
     params_of,
     subformulas,
-    substitute_param,
 )
 from .kripke import (
     KripkeModel,
@@ -92,10 +93,13 @@ from .kripke import (
     satisfies_reference,
 )
 from .labelled import (
+    ADDED_ATOM,
     CALCULI,
+    CLOSERS,
     CONSUMES,
     COPIES,
     EIGEN_LABEL,
+    RULES,
     DomAtom,
     Label,
     LabelledDerivation,
@@ -107,11 +111,14 @@ from .labelled import (
     Witness,
     _candidate_witnesses,
     check_derivation,
+    placement,
     premises_for,
 )
 from .nested import (
     NESTED_CALCULI,
+    NESTED_ROWS,
     RULE_TO_NESTED,
+    _INSTANTIATE,
     NRule,
     NWitness,
     NestedDerivation,
@@ -232,6 +239,25 @@ def _present(f: Formula, have, ante: bool) -> bool:
     return False
 
 
+def _adds_new(pieces, ante, succ, above) -> bool:
+    """The novelty test of both notations: every premise of a copy instance
+    adds a formula that is not yet present where it goes.  `pieces` are the
+    instance's row pieces; `ante` and `succ` the formulas at the world where
+    the premise places them, `above` the antecedent of the world above."""
+    for (a, c, _world, up) in pieces:
+        if not (_some_new(a, ante, True) or _some_new(c, succ, False)
+                or _some_new(up, above, True)):
+            return False
+    return True
+
+
+def _some_new(fs, have, ante: bool) -> bool:
+    for g in fs:
+        if not _present(g, have, ante):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # loop check: equality up to a label renaming
 
@@ -292,15 +318,13 @@ def _renaming_equal(s1: LabelledSequent, s2: LabelledSequent) -> bool:
 # ---------------------------------------------------------------------------
 # the search kernel
 
-# The rule groups, in the order the search tries them, over the labelled
-# rules and their classes in labelled.py; a nested calculus searches with
+# The rule groups CLOSERS, SATURATE, CONSUME, COPY and CREATES_WORLD, in the
+# order the search tries them, over the labelled rules and their classes
+# read off the rule table in labelled.py; a nested calculus searches with
 # their images under RULE_TO_NESTED, so it has no relational saturation and
 # its forall_r, the image of forall_r_star, creates no world.
-_CLOSERS = (Rule.BOT_L, Rule.ID, Rule.ID_Q, Rule.ID_STAR, Rule.ID_Q_STAR)
-_SATURATE = (Rule.REF, Rule.TRA, Rule.ND, Rule.CD)
-_CONSUME = tuple(CONSUMES)
-_CREATES_WORLD = EIGEN_LABEL
-_COPY = COPIES
+_GROUPS = (CLOSERS, (Rule.REF, Rule.TRA, Rule.ND, Rule.CD), tuple(CONSUMES), COPIES,
+           EIGEN_LABEL)
 
 
 def _nested_group(group) -> tuple:
@@ -440,36 +464,17 @@ class _Search:
 # ---------------------------------------------------------------------------
 # the labelled notation
 
-def _new(f: Formula, ix: SequentIndex, l: Label, ante: bool) -> bool:
-    at = ix.ante_at if ante else ix.succ_at
-    return not _present(f, at.get(l, ()), ante)
-
-
-def _adds_new(rule: Rule, w: Witness, ix: SequentIndex) -> bool:
-    """Every premise of the saturation or copy instance adds something
-    that the sequent does not already have."""
-    if rule is Rule.REF:
-        return RelAtom(w.label, w.label) not in ix.rel
-    if rule is Rule.TRA:
-        return RelAtom(w.rel.w, w.rel2.v) not in ix.rel
-    if rule is Rule.ND:
-        return DomAtom(w.dom.a, w.rel.v) not in ix.dom
-    if rule is Rule.CD:
-        return DomAtom(w.dom.a, w.rel.w) not in ix.dom
-    (l, f) = w.principal
-    if rule is Rule.NEG_L:
-        return _new(f.body, ix, l, False)
-    if rule is Rule.LIFT:
-        return _new(f, ix, w.rel.v, True)
-    if rule in (Rule.IMP_L, Rule.IMP_L_STAR):
-        v = w.rel.v if rule is Rule.IMP_L else l
-        return _new(f.left, ix, v, False) and _new(f.right, ix, v, True)
-    inst = substitute_param(f.body, w.dom.a, f.var)
-    if rule is Rule.FORALL_L:
-        return _new(inst, ix, w.rel.v, True)
-    if rule is Rule.FORALL_L_STAR:
-        return _new(inst, ix, l, True)
-    return _new(inst, ix, l, False)  # exists_r, exists_r_star
+def _labelled_adds_new(rule: Rule, w: Witness, ix: SequentIndex) -> bool:
+    """`_adds_new` for the saturation or copy instance on the indexed
+    sequent: a saturation rule adds one atom, a copy rule the pieces of its
+    row at the label where it places them."""
+    added = ADDED_ATOM.get(rule)
+    if added is not None:
+        atom = added(w)
+        return atom not in ix.rel and atom not in ix.dom
+    l, a = placement(rule, w)
+    return _adds_new(RULES[rule].pieces(w.principal[1], a), ix.ante_at.get(l, ()),
+                     ix.succ_at.get(l, ()), ix.ante_at.get(l, ()))
 
 
 def _label_depths(s: LabelledSequent) -> dict[Label, int]:
@@ -511,8 +516,7 @@ def _holds_at(s: LabelledSequent, v: Label) -> frozenset:
 class _Labelled(_Search):
     """Search over labelled sequents.  Instances have no hole (None)."""
 
-    CLOSERS, SATURATE, CONSUME, COPY = _CLOSERS, _SATURATE, _CONSUME, _COPY
-    CREATES_WORLD = _CREATES_WORLD
+    CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD = _GROUPS
 
     def __init__(self, cfg: SearchConfig):
         super().__init__(cfg, CALCULI[cfg.calculus])
@@ -522,9 +526,9 @@ class _Labelled(_Search):
 
     def _instances(self, rule: Rule, s: LabelledSequent, ix, fresh, novel: bool):
         """(None, premises, witness) of each instance; with `novel`, only
-        the instances that add something new (`_adds_new`)."""
+        the instances that add something new (`_labelled_adds_new`)."""
         for w in _candidate_witnesses(rule, s, ix):
-            if novel and not _adds_new(rule, w, ix):
+            if novel and not _labelled_adds_new(rule, w, ix):
                 continue
             try:
                 prem = premises_for(rule, s, w)
@@ -554,43 +558,19 @@ class _Labelled(_Search):
 # ---------------------------------------------------------------------------
 # the nested notation
 
-def _n_adds_new(rule: NRule, node: NestedSequent, w) -> bool:
-    """Every premise of the copy instance at `node` adds a formula that is
-    not yet present where it goes."""
-    f = w.formula
-    if rule is NRule.NEG_L:
-        return not _present(f.body, node.succ, False)
-    if rule is NRule.IMP_L:
-        return not _present(f.left, node.succ, False) and not _present(
-            f.right, node.ante, True
-        )
-    if rule is NRule.LIFT:
-        return not _present(f, node.children[w.child].ante, True)
-    inst = substitute_param(f.body, w.param, f.var)
-    if rule is NRule.FORALL_L:
-        return not _present(inst, node.ante, True)
-    return not _present(inst, node.succ, False)  # exists_r
-
-
-_INSTANTIATE = (NRule.FORALL_L, NRule.EXISTS_R)
-
-
 class _Nested(_Search):
     """Search over nested sequents.  An instance sits at a hole, and the
     instantiating rules may bring in at most parameter_budget fresh
     parameters along a branch (`fresh` counts them)."""
 
-    CLOSERS, SATURATE, CONSUME, COPY = (
-        _nested_group(g) for g in (_CLOSERS, _SATURATE, _CONSUME, _COPY)
-    )
-    CREATES_WORLD = frozenset(_nested_group(_CREATES_WORLD))
+    CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD = map(_nested_group, _GROUPS)
 
     def __init__(self, cfg: SearchConfig):
         super().__init__(cfg, NESTED_CALCULI[cfg.calculus])
 
     def _instances(self, rule: NRule, s: NestedSequent, ix, fresh: int, novel: bool):
         """(hole, premises, witness) of each instance; with `novel`, only
-        the instances that add something new (`_n_adds_new`)."""
+        the instances that add something new (`_adds_new`)."""
         budget_left = self.cfg.parameter_budget - fresh
         for hole in s.holes():
             node = s.at(hole)
@@ -599,7 +579,10 @@ class _Nested(_Search):
                     is_fresh = w.param not in s.params()
                     if is_fresh and budget_left <= 0:
                         continue
-                if novel and not _n_adds_new(rule, node, w):
+                if novel and not _adds_new(
+                    NESTED_ROWS[rule].pieces(w.formula, w.param), node.ante, node.succ,
+                    () if w.child is None else node.children[w.child].ante,
+                ):
                     continue
                 try:
                     prem = nested_premises_for(self.cfg.calculus, rule, s, hole, w)

@@ -14,6 +14,7 @@ a subproof free of that rule and leaves none behind.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace as dc_replace
 
 from .formula import (
@@ -27,6 +28,7 @@ from .formula import (
 )
 from .graph import is_treelike, nestify_with_paths, tree_root
 from .labelled import (
+    ADDED_ATOM,
     ADMISSIBLE_TAGS,
     CALCULI,
     CONSUMES,
@@ -48,6 +50,7 @@ from .labelled import (
     check_inference,
     fresh_labels,
     fresh_params,
+    placed,
     premises_for,
     substitute_sequent,
 )
@@ -149,8 +152,7 @@ def substitute_derivation(
     double-induction recipe), so side conditions survive.
     """
     _no_tags(d)
-    used = d.all_labels() | d.all_params() | {getattr(new, "name"), getattr(old, "name")}
-
+    used = _names_on_clash(d, {new.name, old.name})
     clash = {new, old}
 
     def sub(x):
@@ -171,14 +173,22 @@ def substitute_derivation(
     return out
 
 
-def _rename_eigen(n: LabelledDerivation, clash: set, used: set[str], calc: str) -> LabelledDerivation:
+def _names_on_clash(d: LabelledDerivation, extra: set[str]):
+    """The names a walk of d must avoid when it renames an eigenvariable:
+    d's labels and parameters and `extra`.  The set is computed on the first
+    call, that is on the first clash, and the same set is returned after,
+    so that the fresh names taken are added to it."""
+    return functools.cache(lambda: d.all_labels() | d.all_params() | extra)
+
+
+def _rename_eigen(n: LabelledDerivation, clash: set, used, calc: str) -> LabelledDerivation:
     """n with its eigenlabel, then its eigenparameter, renamed to a name
-    fresh for `used` where it is in `clash`."""
+    fresh for `used()` where it is in `clash`."""
     for kind, eigen, fresh in (("label", EIGEN_LABEL, fresh_labels),
                                ("param", EIGEN_PARAM, fresh_params)):
         old = getattr(n.witness, kind)
         if n.rule in eigen and old in clash:
-            new = fresh(used)[0]
+            new = fresh(used())[0]
             prem = tuple(substitute_derivation(p, kind, new, old, calc) for p in n.premises)
             n = _mk(calc, n.rule, n.conclusion, prem, dc_replace(n.witness, **{kind: new}))
     return n
@@ -202,7 +212,7 @@ def weaken_derivation(
         return d
     extra = LabelledSequent(rel, dom, ante, succ)
     clash = extra.labels() | extra.params()
-    used = d.all_labels() | d.all_params() | {x.name for x in clash}
+    used = _names_on_clash(d, {x.name for x in clash})
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
         n = _rename_eigen(n, clash, used, calc)
@@ -231,8 +241,8 @@ def _eigen_witness(rule: Rule, occ: LabelledFormula, used: set[str],
 
 def _pieces(rule: Rule, w: Witness) -> tuple[LabelledSequent, ...]:
     """What each premise of the consuming rule puts in place of its
-    principal: the premises of a sequent holding only the principal."""
-    return premises_for(rule, LabelledSequent(**{CONSUMES[rule]: (w.principal,)}), w)
+    principal: its row's pieces, placed at labels."""
+    return tuple(LabelledSequent(*p) for p in placed(rule, w))
 
 
 def invert_derivation(
@@ -467,15 +477,13 @@ def _step(node: LabelledDerivation, calc: str):
     the note for the report or None)."""
     w = node.witness
     P = node.premises[0]
+    atom = ADDED_ATOM[node.rule](w)
     if node.rule is Rule.REF:
-        z = w.label
-        return _ref_step(P, RelAtom(z, z), calc), f"ref at {z} rewritten"
+        return _ref_step(P, atom, calc), f"ref at {w.label} rewritten"
     if node.rule is Rule.TRA:
-        r1, r2 = w.rel, w.rel2
-        return (_tra_step(P, RelAtom(r1.w, r2.v), r1, r2, calc),
-                f"tra {r1!r} ; {r2!r} rewritten")
-    removed = DomAtom(w.dom.a, w.rel.v if node.rule is Rule.ND else w.rel.w)
-    return _nd_step(P, removed, w.rel, w.dom, calc), None
+        return (_tra_step(P, atom, w.rel, w.rel2, calc),
+                f"tra {w.rel!r} ; {w.rel2!r} rewritten")
+    return _nd_step(P, atom, w.rel, w.dom, calc), None
 
 
 def eliminate_ref(d: LabelledDerivation, calc: str) -> LabelledDerivation:

@@ -165,6 +165,7 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["eliminate", str(tmp_path / "absent.json")], 2),
         (["eliminate", str(proof), "--calc", "bogus"], 2),
         (["fuzz-soundness", "--models", "5"], 0),
+        (["fuzz-soundness", "--max-worlds", "3000", "--models", "1"], 2),
         (["parse", "~" * 3000 + "p"], 2),
         (["prove", "(" * 400 + "p" + ")" * 400], 2),
         (["check", str(deep)], 2),

@@ -10,6 +10,7 @@ from intcalc.graph import (
     isomorphic,
     labelify,
     nestify,
+    nestify_with_paths,
     tree_root,
 )
 from intcalc.kripke import enumerate_models, labelled_sequent_holds, nested_sequent_holds
@@ -143,6 +144,16 @@ def test_nestify_drops_domain_atoms():
 def test_nestify_rejects_non_treelike():
     with pytest.raises(SequentError, match="not treelike"):
         nestify(LOOPY)
+
+
+def test_nestify_paths_with_equal_sibling_subtrees():
+    # u and v hold equal subtrees, which keep the order of their labels; z
+    # sorts first among w's children although its label sorts last
+    s = parse_sequent("w<=u, w<=v, w<=z, u<=y, v<=x, u: s, v: s, x: q, y: q, z: p => ")
+    nested, paths = nestify_with_paths(s)
+    assert nested == parse_nested(" -> [p -> ], [s -> [q -> ]], [s -> [q -> ]]")
+    assert paths == {Label("w"): (), Label("z"): (0,), Label("u"): (1,), Label("y"): (1, 0),
+                     Label("v"): (2,), Label("x"): (2, 0)}
 
 
 def test_labelify_examples():

@@ -22,6 +22,9 @@ from intcalc.formula import (
 )
 from intcalc.labelled import (
     CALCULI,
+    EIGEN,
+    REL,
+    RULES,
     DomAtom,
     Label,
     LabelledDerivation,
@@ -352,6 +355,20 @@ def _scanned_witnesses(rule, s):
 def test_indexed_candidates_match_a_full_scan(s):
     for rule in sorted(set().union(*CALCULI.values()), key=lambda r: r.value):
         assert list(_candidate_witnesses(rule, s)) == _scanned_witnesses(rule, s), rule
+
+
+def test_every_row_places_a_premise_at_one_label():
+    """`placed` puts all of a premise's formulas at one label: a row with a
+    new world is placed at its eigenlabel, a row with pieces above at its
+    relational witness's upper label."""
+    r_x = Atom("r", (_X,))
+    sample = {None: p, And: And(p, q), Or: Or(p, q), Impl: Impl(p, q), Neg: Neg(p),
+              Forall: Forall(_X, r_x), Exists: Exists(_X, r_x)}
+    for rule, row in RULES.items():
+        if row.pieces is not None:
+            for (_ante, _succ, world, above) in row.pieces(sample[row.shape], Param("a")):
+                assert world is None or row.at == EIGEN, rule
+                assert not above or row.at == REL, rule
 
 
 # -- interned names: labels, relational and domain atoms, parameters ----------

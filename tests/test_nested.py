@@ -15,9 +15,20 @@ from intcalc.formula import (
     parse_formula,
     subformulas,
 )
-from intcalc.labelled import SequentError
+from intcalc.graph import labelify, nestify
+from intcalc.labelled import (
+    DomAtom,
+    Label,
+    LabelledSequent,
+    RelAtom,
+    Rule,
+    SequentError,
+    Witness,
+    premises_for,
+)
 from intcalc.nested import (
     NESTED_CALCULI,
+    RULE_TO_NESTED,
     NRule,
     NWitness,
     NestedDerivation,
@@ -362,3 +373,55 @@ def test_edits_give_the_stable_sort_order(s, rng):
                     want = _rebuilt(s, hole, NestedSequent(ante, node.succ, tuple(kids)))
                     (got,) = nested_premises_for(calc, NRule.LIFT, s, hole, w)
                     assert _same_tree(got, want), (calc, hole, i)
+
+
+# -- the correspondence, rule by rule ------------------------------------------
+
+def _preimage_witness(rule, occ, nw, label, hole, root):
+    """The labelled witness of the treelike rule for the nested candidate
+    `nw` at the hole, whose label is occ[0]."""
+    if rule in (Rule.ID_STAR, Rule.ID_Q_STAR):
+        return Witness(principal=occ, formula=occ)
+    if rule is Rule.LIFT:
+        return Witness(principal=occ, rel=RelAtom(occ[0], label[hole + (nw.child,)]))
+    if rule in (Rule.IMP_R, Rule.NEG_R):
+        return Witness(principal=occ, label=Label("v0"))  # labelify's labels are w0, w1, ...
+    if rule in (Rule.FORALL_R_STAR, Rule.EXISTS_L):
+        return Witness(principal=occ, param=nw.param)
+    if rule in (Rule.FORALL_L_STAR, Rule.EXISTS_R_STAR):
+        return Witness(principal=occ, dom=DomAtom(nw.param, root))
+    return Witness(principal=occ)
+
+
+def _outcome(premises):
+    try:
+        return premises()
+    except SequentError:
+        return SequentError
+
+
+@given(_nested_sequents())
+@settings(max_examples=200, deadline=None)
+def test_nested_rules_are_treelike_rules_at_a_node(s):
+    """Every nint-star rule at every hole, on every candidate, gives the
+    nestified premises of its treelike labelled preimage applied at the
+    hole's label of labelify(s).  The labelled sequent has a domain atom at
+    the root for each parameter of s, and for the instantiating one."""
+    holes = list(s.holes())
+    label = {h: Label(f"w{i}") for i, h in enumerate(holes)}  # labelify's preorder
+    root = label[()]
+    params = sorted(s.params(), key=lambda a: a.name)
+    for rule, nrule in RULE_TO_NESTED.items():
+        for hole in holes:
+            for nw in _nested_candidates(nrule, s, s.at(hole)):
+                occ = (label[hole], nw.formula)
+                names = params
+                if rule in (Rule.FORALL_L_STAR, Rule.EXISTS_R_STAR) and nw.param not in params:
+                    names = params + [nw.param]
+                lab = labelify(s)
+                lab = LabelledSequent(lab.rel, tuple(DomAtom(a, root) for a in names),
+                                      lab.ante, lab.succ)
+                w = _preimage_witness(rule, occ, nw, label, hole, root)
+                want = _outcome(lambda: tuple(nestify(p) for p in premises_for(rule, lab, w)))
+                got = _outcome(lambda: nested_premises_for("nint-star", nrule, s, hole, nw))
+                assert got == want, (rule, hole, nw)
