@@ -84,7 +84,6 @@ def cmd_prove(args) -> int:
     cfg = SearchConfig(
         calculus=args.calc,
         depth_bound=args.depth,
-        loop_check=not args.no_loop_check,
         parameter_budget=args.parameter_budget,
     )
     goal = _parse_goal(args.goal, args.calc)
@@ -280,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parameter-budget", type=int, default=1,
                    help="fresh parameters a branch may bring in; read only by "
                         "the nested calculi (nint, nintqc and their star forms)")
-    p.add_argument("--no-loop-check", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_prove)
 

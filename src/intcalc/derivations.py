@@ -70,19 +70,40 @@ def _nd_chain(
 def initial_step(f: Formula, w: Label, v: Label, target: LabelledSequent) -> LabelledDerivation:
     """Derivation of target, which must contain w<=v, a in D(w) for every
     parameter of f, w:f on the left and v:f on the right."""
-    _require(f, w, v, target, step=True)
+    return _initial(f, w, v, target, step=True)
+
+
+def initial_refl(f: Formula, w: Label, target: LabelledSequent) -> LabelledDerivation:
+    """Derivation of target, which must contain a in D(w) for every
+    parameter of f and f at w on both sides."""
+    return _initial(f, w, w, target, step=False)
+
+
+def _initial(f: Formula, w: Label, v: Label, target: LabelledSequent,
+             step: bool) -> LabelledDerivation:
+    """w:f => v:f inside target: a step w<=v, or the reflexive case v = w.
+
+    They differ in three places: a step carries the world that imp_r or
+    forall_r creates above v down to w by tra, and the parameter that
+    exists_l brings in at w up to v by nd; the reflexive case closes an
+    atom through ref when the loop w<=w is missing."""
+    _require(f, w, v, target, step)
     if isinstance(f, Bot):
         return _mk(CALC, Rule.BOT_L, target, (), Witness(principal=(w, f)))
     if isinstance(f, Atom):
         rule = Rule.ID if not f.args else Rule.ID_Q
-        return _mk(CALC, rule, target, (),
-                   Witness(principal=(w, f), formula=(v, f), rel=RelAtom(w, v)))
+        rel = RelAtom(w, v)
+        leaf = Witness(principal=(w, f), formula=(v, f), rel=rel)
+        if rel in target.rel:
+            return _mk(CALC, rule, target, (), leaf)
+        closed = _mk(CALC, rule, target.add(rel=[rel]), (), leaf)
+        return _mk(CALC, Rule.REF, target, (closed,), Witness(label=w))
     if isinstance(f, And):
         t1 = target.remove(ante=[(w, f)]).add(ante=[(w, f.left), (w, f.right)])
         ta = t1.remove(succ=[(v, f)]).add(succ=[(v, f.left)])
         tb = t1.remove(succ=[(v, f)]).add(succ=[(v, f.right)])
-        da = initial_step(f.left, w, v, ta)
-        db = initial_step(f.right, w, v, tb)
+        da = _initial(f.left, w, v, ta, step)
+        db = _initial(f.right, w, v, tb, step)
         n = _mk(CALC, Rule.AND_R, t1, (da, db), Witness(principal=(v, f)))
         return _mk(CALC, Rule.AND_L, target, (n,), Witness(principal=(w, f)))
     if isinstance(f, Or):
@@ -90,9 +111,9 @@ def initial_step(f: Formula, w: Label, v: Label, target: LabelledSequent) -> Lab
         tb = target.remove(ante=[(w, f)]).add(ante=[(w, f.right)])
         ta1 = ta.remove(succ=[(v, f)]).add(succ=[(v, f.left), (v, f.right)])
         tb1 = tb.remove(succ=[(v, f)]).add(succ=[(v, f.left), (v, f.right)])
-        da = _mk(CALC, Rule.OR_R, ta, (initial_step(f.left, w, v, ta1),),
+        da = _mk(CALC, Rule.OR_R, ta, (_initial(f.left, w, v, ta1, step),),
                  Witness(principal=(v, f)))
-        db = _mk(CALC, Rule.OR_R, tb, (initial_step(f.right, w, v, tb1),),
+        db = _mk(CALC, Rule.OR_R, tb, (_initial(f.right, w, v, tb1, step),),
                  Witness(principal=(v, f)))
         return _mk(CALC, Rule.OR_L, target, (da, db), Witness(principal=(w, f)))
     if isinstance(f, Impl):
@@ -101,15 +122,15 @@ def initial_step(f: Formula, w: Label, v: Label, target: LabelledSequent) -> Lab
         t1 = target.remove(succ=[(v, f)]).add(
             rel=[RelAtom(v, u)], ante=[(u, f.left)], succ=[(u, f.right)]
         )
-        t2 = t1.add(rel=[RelAtom(w, u)])
+        t2 = t1.add(rel=[RelAtom(w, u)]) if step else t1
         p1 = t2.add(succ=[(u, f.left)])
         p2 = t2.add(ante=[(u, f.right)])
-        da = _nd_sub_refl(f.left, u, w, p1)
-        db = _nd_sub_refl(f.right, u, w, p2)
+        da = _nd_sub(f.left, u, u, w, p1, step=False)
+        db = _nd_sub(f.right, u, u, w, p2, step=False)
         n = _mk(CALC, Rule.IMP_L, t2, (da, db),
                 Witness(principal=(w, f), rel=RelAtom(w, u)))
-        n = _mk(CALC, Rule.TRA, t1, (n,),
-                Witness(rel=RelAtom(w, v), rel2=RelAtom(v, u)))
+        if step:
+            n = _mk(CALC, Rule.TRA, t1, (n,), Witness(rel=RelAtom(w, v), rel2=RelAtom(v, u)))
         return _mk(CALC, Rule.IMP_R, target, (n,),
                    Witness(principal=(v, f), label=u))
     if isinstance(f, Forall):
@@ -120,13 +141,13 @@ def initial_step(f: Formula, w: Label, v: Label, target: LabelledSequent) -> Lab
         t1 = target.remove(succ=[(v, f)]).add(
             rel=[RelAtom(v, u)], dom=[DomAtom(b, u)], succ=[(u, inst)]
         )
-        t2 = t1.add(rel=[RelAtom(w, u)])
+        t2 = t1.add(rel=[RelAtom(w, u)]) if step else t1
         t3 = t2.add(ante=[(u, inst)])
-        top = _nd_sub_refl(inst, u, w, t3, skip={b})
+        top = _nd_sub(inst, u, u, w, t3, step=False, skip={b})
         n = _mk(CALC, Rule.FORALL_L, t2, (top,),
                 Witness(principal=(w, f), rel=RelAtom(w, u), dom=DomAtom(b, u)))
-        n = _mk(CALC, Rule.TRA, t1, (n,),
-                Witness(rel=RelAtom(w, v), rel2=RelAtom(v, u)))
+        if step:
+            n = _mk(CALC, Rule.TRA, t1, (n,), Witness(rel=RelAtom(w, v), rel2=RelAtom(v, u)))
         return _mk(CALC, Rule.FORALL_R, target, (n,),
                    Witness(principal=(v, f), label=u, param=b))
     if isinstance(f, Exists):
@@ -136,103 +157,26 @@ def initial_step(f: Formula, w: Label, v: Label, target: LabelledSequent) -> Lab
         t1 = target.remove(ante=[(w, f)]).add(
             dom=[DomAtom(b, w)], ante=[(w, inst)]
         )
-        t2 = t1.add(dom=[DomAtom(b, v)])
+        t2 = t1.add(dom=[DomAtom(b, v)]) if step else t1
         t3 = t2.add(succ=[(v, inst)])
-        top = initial_step(inst, w, v, t3)
+        top = _initial(inst, w, v, t3, step)
         n = _mk(CALC, Rule.EXISTS_R, t2, (top,),
                 Witness(principal=(v, f), dom=DomAtom(b, v)))
-        n = _mk(CALC, Rule.ND, t1, (n,),
-                Witness(rel=RelAtom(w, v), dom=DomAtom(b, w)))
+        if step:
+            n = _mk(CALC, Rule.ND, t1, (n,),
+                    Witness(rel=RelAtom(w, v), dom=DomAtom(b, w)))
         return _mk(CALC, Rule.EXISTS_L, target, (n,),
                    Witness(principal=(w, f), param=b))
     raise SequentError(f"negation-free formula expected, got {f!r}")
 
 
-def _nd_sub_refl(f, u, w, target, skip=frozenset()):
-    """initial_refl at u after moving f's parameters from D(w) to D(u)."""
+def _nd_sub(f, w, v, base, target, step: bool, skip=frozenset()):
+    """_initial from w to v after moving f's parameters (but skip) from
+    D(base) up to D(w)."""
     ps = [a for a in _distinct_params(f)
-          if a not in skip and DomAtom(a, u) not in target.dom]
-    top_target = target.add(dom=[DomAtom(a, u) for a in ps])
-    top = initial_refl(f, u, top_target)
-    return _nd_chain(top, ps, w, u)
-
-
-def initial_refl(f: Formula, w: Label, target: LabelledSequent) -> LabelledDerivation:
-    """Derivation of target, which must contain a in D(w) for every
-    parameter of f and f at w on both sides."""
-    _require(f, w, w, target, step=False)
-    if isinstance(f, Bot):
-        return _mk(CALC, Rule.BOT_L, target, (), Witness(principal=(w, f)))
-    if isinstance(f, Atom):
-        rule = Rule.ID if not f.args else Rule.ID_Q
-        loop = RelAtom(w, w)
-        if loop in target.rel:
-            return _mk(CALC, rule, target, (),
-                       Witness(principal=(w, f), formula=(w, f), rel=loop))
-        t1 = target.add(rel=[loop])
-        leaf = _mk(CALC, rule, t1, (),
-                   Witness(principal=(w, f), formula=(w, f), rel=loop))
-        return _mk(CALC, Rule.REF, target, (leaf,), Witness(label=w))
-    if isinstance(f, And):
-        t1 = target.remove(ante=[(w, f)]).add(ante=[(w, f.left), (w, f.right)])
-        ta = t1.remove(succ=[(w, f)]).add(succ=[(w, f.left)])
-        tb = t1.remove(succ=[(w, f)]).add(succ=[(w, f.right)])
-        n = _mk(CALC, Rule.AND_R, t1,
-                (initial_refl(f.left, w, ta), initial_refl(f.right, w, tb)),
-                Witness(principal=(w, f)))
-        return _mk(CALC, Rule.AND_L, target, (n,), Witness(principal=(w, f)))
-    if isinstance(f, Or):
-        ta = target.remove(ante=[(w, f)]).add(ante=[(w, f.left)])
-        tb = target.remove(ante=[(w, f)]).add(ante=[(w, f.right)])
-        ta1 = ta.remove(succ=[(w, f)]).add(succ=[(w, f.left), (w, f.right)])
-        tb1 = tb.remove(succ=[(w, f)]).add(succ=[(w, f.left), (w, f.right)])
-        da = _mk(CALC, Rule.OR_R, ta, (initial_refl(f.left, w, ta1),),
-                 Witness(principal=(w, f)))
-        db = _mk(CALC, Rule.OR_R, tb, (initial_refl(f.right, w, tb1),),
-                 Witness(principal=(w, f)))
-        return _mk(CALC, Rule.OR_L, target, (da, db), Witness(principal=(w, f)))
-    if isinstance(f, Impl):
-        used = _used_names(target)
-        u = fresh_labels(used)[0]
-        t1 = target.remove(succ=[(w, f)]).add(
-            rel=[RelAtom(w, u)], ante=[(u, f.left)], succ=[(u, f.right)]
-        )
-        p1 = t1.add(succ=[(u, f.left)])
-        p2 = t1.add(ante=[(u, f.right)])
-        da = _nd_sub_refl(f.left, u, w, p1)
-        db = _nd_sub_refl(f.right, u, w, p2)
-        n = _mk(CALC, Rule.IMP_L, t1, (da, db),
-                Witness(principal=(w, f), rel=RelAtom(w, u)))
-        return _mk(CALC, Rule.IMP_R, target, (n,),
-                   Witness(principal=(w, f), label=u))
-    if isinstance(f, Forall):
-        used = _used_names(target)
-        u = fresh_labels(used)[0]
-        b = fresh_params(used)[0]
-        inst = substitute_param(f.body, b, f.var)
-        t1 = target.remove(succ=[(w, f)]).add(
-            rel=[RelAtom(w, u)], dom=[DomAtom(b, u)], succ=[(u, inst)]
-        )
-        t2 = t1.add(ante=[(u, inst)])
-        top = _nd_sub_refl(inst, u, w, t2, skip={b})
-        n = _mk(CALC, Rule.FORALL_L, t1, (top,),
-                Witness(principal=(w, f), rel=RelAtom(w, u), dom=DomAtom(b, u)))
-        return _mk(CALC, Rule.FORALL_R, target, (n,),
-                   Witness(principal=(w, f), label=u, param=b))
-    if isinstance(f, Exists):
-        used = _used_names(target)
-        b = fresh_params(used)[0]
-        inst = substitute_param(f.body, b, f.var)
-        t1 = target.remove(ante=[(w, f)]).add(
-            dom=[DomAtom(b, w)], ante=[(w, inst)]
-        )
-        t2 = t1.add(succ=[(w, inst)])
-        top = initial_refl(inst, w, t2)
-        n = _mk(CALC, Rule.EXISTS_R, t1, (top,),
-                Witness(principal=(w, f), dom=DomAtom(b, w)))
-        return _mk(CALC, Rule.EXISTS_L, target, (n,),
-                   Witness(principal=(w, f), param=b))
-    raise SequentError(f"negation-free formula expected, got {f!r}")
+          if a not in skip and DomAtom(a, w) not in target.dom]
+    top = _initial(f, w, v, target.add(dom=[DomAtom(a, w) for a in ps]), step)
+    return _nd_chain(top, ps, base, w)
 
 
 def _require(f, w, v, target, step: bool) -> None:
@@ -378,9 +322,9 @@ def forall_shift_axiom(antecedent: Formula, body: Formula, x: Var):
     p2 = t6.add(ante=[(z, inst_body)])
 
     # left branch: antecedent travels from u up to z
-    da = _nd_sub_step(antecedent, u, z, w, p1)
+    da = _nd_sub(antecedent, u, z, w, p1, step=True)
     # right branch: the instantiated body closes reflexively at z
-    db = _nd_sub_refl(inst_body, z, w, p2, skip={a})
+    db = _nd_sub(inst_body, z, z, w, p2, step=False, skip={a})
     d = _mk(CALC, Rule.IMP_L, t6, (da, db),
             Witness(principal=(z, inst_imp), rel=RelAtom(z, z)))
     skeleton.append(Rule.IMP_L)
@@ -402,14 +346,6 @@ def forall_shift_axiom(antecedent: Formula, body: Formula, x: Var):
             Witness(principal=(w, Impl(f_in, f_out)), label=v))
     skeleton.append(Rule.IMP_R)
     return d, skeleton
-
-
-def _nd_sub_step(f, w1, v1, base, target):
-    """initial_step from w1 to v1 after moving f's parameters from D(base)."""
-    ps = [c for c in _distinct_params(f) if DomAtom(c, w1) not in target.dom]
-    top_target = target.add(dom=[DomAtom(c, w1) for c in ps])
-    top = initial_step(f, w1, v1, top_target)
-    return _nd_chain(top, ps, base, w1)
 
 
 def constant_domain_axiom(body: Formula, other: Formula, x: Var):
@@ -443,8 +379,8 @@ def constant_domain_axiom(body: Formula, other: Formula, x: Var):
     pa = t6.remove(ante=[(v, inst_or)]).add(ante=[(v, inst_body)])
     pb = t6.remove(ante=[(v, inst_or)]).add(ante=[(v, other)])
 
-    da = _nd_sub_step(inst_body, v, u, w, pa)
-    db = _nd_sub_refl(other, v, w, pb)
+    da = _nd_sub(inst_body, v, u, w, pa, step=True)
+    db = _nd_sub(other, v, v, w, pb, step=False)
     d = _mk(CALC, Rule.OR_L, t6, (da, db), Witness(principal=(v, inst_or)))
     skeleton.append(Rule.OR_L)
     d = _mk(CALC, Rule.FORALL_L, t5, (d,),

@@ -688,10 +688,21 @@ def _enumerate_exhaustive(max_worlds, atom_list, domain_size, arity):
 
 
 def _closure(worlds, edges) -> frozenset[tuple[World, World]]:
-    """The reflexive-transitive closure of edges on worlds."""
-    rel = {(w, w) for w in worlds} | set(edges)
-    while new := {(a, d) for (a, b) in rel for (c, d) in rel if b == c} - rel:
-        rel |= new
+    """The reflexive-transitive closure of edges on worlds: each world
+    below an edge is paired with every world reachable from it."""
+    succ: dict[World, set[World]] = {}
+    for (a, b) in edges:
+        succ.setdefault(a, set()).add(b)
+    rel = {(w, w) for w in worlds}
+    for a, out in succ.items():
+        seen = set(out)
+        stack = list(out)
+        while stack:
+            for b in succ.get(stack.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        rel.update((a, b) for b in seen)
     return frozenset(rel)
 
 

@@ -7,17 +7,16 @@ the same rules and the same search.  A notation supplies only its rule
 groups, its instance enumeration (built with `premises_for` or
 `nested_premises_for`), the content the eigen block records at a
 world-creating step and the derivation node it builds.  Its extras are
-hooks of that notation: the labelled search prunes sequents equal to an
-ancestor up to label renaming and tries copy targets deep in the
-relational order first; the nested search counts the fresh parameters a
-branch has brought in against parameter_budget.  The rule groups, the
+hooks of that notation: the labelled search tries copy targets deep in
+the relational order first; the nested search counts the fresh parameters
+a branch has brought in against parameter_budget.  The rule groups, the
 candidates of each rule and the novelty test (`_adds_new`) are read off
 the one rule table in `labelled.py` (`RULES`), over the labelled rules; a
 nested calculus uses their images under `nested.RULE_TO_NESTED`, and a
 nested rule reads the row of its labelled preimage.
 
-Each node tries, in this order: the closing rules; the exact-repeat and
-notation prunes; relational saturation (labelled only) and the consuming
+Each node tries, in this order: the closing rules; the exact-repeat
+prune; relational saturation (labelled only) and the consuming
 rules, which include the world-creating rules (imp_r, neg_r, forall_r);
 then the copy rules, which keep their principal formula.  In every
 calculus but Fitting's original nint/nintqc all rules are invertible, so
@@ -33,9 +32,9 @@ Two things bound a branch.  The depth bound is a budget spent only by the
 rules that can repeat on a branch: the copy rules and the world-creating
 rules.  The consuming rules replace their principal by smaller formulas,
 so only finitely many of them fit between two charged steps, and they are
-free.  With loop_check (the default), the eigen block (`_fire_eigen`)
-stops a world-creating rule from re-creating a world that the branch has
-already created.
+free.  In the invertible calculi the eigen block (`_fire_eigen`) stops a
+world-creating rule from re-creating a world that the branch has already
+created.
 
 The search pays for bookkeeping per sequent and per node, not per rule.
 The labels and parameters of a sequent (and of each formula) are computed
@@ -79,8 +78,6 @@ from .formula import (
     Bot,
     Formula,
     Or,
-    cached,
-    fkey,
     params_of,
     subformulas,
 )
@@ -100,11 +97,9 @@ from .labelled import (
     COPIES,
     EIGEN_LABEL,
     RULES,
-    DomAtom,
     Label,
     LabelledDerivation,
     LabelledSequent,
-    RelAtom,
     Rule,
     SequentError,
     SequentIndex,
@@ -133,7 +128,6 @@ from .nested import (
 class SearchConfig:
     calculus: str = "g3int"
     depth_bound: int = 12
-    loop_check: bool = True
     parameter_budget: int = 1
 
     def __post_init__(self) -> None:
@@ -158,9 +152,8 @@ def prove(goal, cfg: SearchConfig) -> Optional[Derivation]:
     with the labels fixed.  Invertible rules are
     applied eagerly without backtracking; the engine backtracks over the
     copy-rule family and instantiation choices.  A sequent exactly equal
-    to an ancestor on its branch is always pruned; loop_check additionally
-    applies the eigen block (`_fire_eigen`) in the invertible calculi and
-    prunes sequents equal to an ancestor up to label renaming.
+    to an ancestor on its branch is pruned, and in the invertible calculi
+    the eigen block (`_fire_eigen`) applies.
 
     parameter_budget, the fresh parameters that forall_l and exists_r may
     bring in along a branch, is read only by the nested calculi.
@@ -259,63 +252,6 @@ def _some_new(fs, have, ante: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# loop check: equality up to a label renaming
-
-@cached
-def _fingerprint(s: LabelledSequent):
-    return (
-        len(s.rel), len(s.dom),
-        tuple(sorted(fkey(f) for (_, f) in s.ante)),
-        tuple(sorted(fkey(f) for (_, f) in s.succ)),
-    )
-
-
-def _renaming_equal(s1: LabelledSequent, s2: LabelledSequent) -> bool:
-    if _fingerprint(s1) != _fingerprint(s2):
-        return False
-    l1 = sorted({l.name for l in s1.labels()})
-    l2 = sorted({l.name for l in s2.labels()})
-    if len(l1) != len(l2):
-        return False
-
-    def local_sig(s: LabelledSequent, l: str):
-        return (
-            tuple(sorted(fkey(f) for (w, f) in s.ante if w.name == l)),
-            tuple(sorted(fkey(f) for (w, f) in s.succ if w.name == l)),
-            sum(1 for r in s.rel if r.w.name == l),
-            sum(1 for r in s.rel if r.v.name == l),
-            tuple(sorted(d.a.name for d in s.dom if d.w.name == l)),
-        )
-
-    sig1 = {l: local_sig(s1, l) for l in l1}
-    sig2 = {l: local_sig(s2, l) for l in l2}
-
-    def extend(i: int, m: dict[str, str], used: set[str]) -> bool:
-        if i == len(l1):
-            ren = {Label(a): Label(b) for a, b in m.items()}
-            img = LabelledSequent(
-                tuple(RelAtom(ren[r.w], ren[r.v]) for r in s1.rel),
-                tuple(DomAtom(d.a, ren[d.w]) for d in s1.dom),
-                tuple((ren[w], f) for (w, f) in s1.ante),
-                tuple((ren[w], f) for (w, f) in s1.succ),
-            )
-            return img == s2
-        a = l1[i]
-        for b in l2:
-            if b in used or sig1[a] != sig2[b]:
-                continue
-            m[a] = b
-            used.add(b)
-            if extend(i + 1, m, used):
-                return True
-            del m[a]
-            used.discard(b)
-        return False
-
-    return extend(0, {}, set())
-
-
-# ---------------------------------------------------------------------------
 # the search kernel
 
 # The rule groups CLOSERS, SATURATE, CONSUME, COPY and CREATES_WORLD, in the
@@ -336,7 +272,7 @@ class _Search:
     groups (CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD), its instance
     enumeration (`_instances`), the content the eigen block records
     (`_eigen`) and the derivation node (`_node`), and may refine the hooks
-    `_index`, `_pruned`, `_copy_order` and `_fresh_cost`.
+    `_index`, `_copy_order` and `_fresh_cost`.
 
     A node that is not answered from the caches builds its sequent's index
     once (`_index`: the labelled `SequentIndex`, none for nested sequents)
@@ -347,7 +283,7 @@ class _Search:
     would otherwise recompute per rule, are cached on the sequent.
 
     Proved sequents are cached; failed sequents are cached only when no
-    ancestor-loop prune fired below them (pure failures), keyed by the
+    exact-repeat prune fired below them (pure failures), keyed by the
     sequent and the eigen-block records, with the largest budget that
     failed.
     """
@@ -360,7 +296,6 @@ class _Search:
         # every rule is invertible but in Fitting's original nint/nintqc,
         # whose copy rules consume their principal formula
         self.invertible = cfg.calculus not in ("nint", "nintqc")
-        self.block = self.invertible and cfg.loop_check
         self.closers = pick(self.CLOSERS)
         # (rules, novel): with novel, only instances that add something new
         self.phases = ((pick(self.SATURATE), True), (pick(self.CONSUME), False))
@@ -369,17 +304,12 @@ class _Search:
         self.failed: dict = {}
 
     def search(self, goal) -> Optional[Derivation]:
-        out, _pure = self._search(
-            goal, self.cfg.depth_bound, (), frozenset(), frozenset(), 0
-        )
+        out, _pure = self._search(goal, self.cfg.depth_bound, frozenset(), frozenset(), 0)
         return out
 
     # hooks with a default
     def _index(self, s):
         return None
-
-    def _pruned(self, s, history) -> bool:
-        return False
 
     def _copy_order(self, s):
         return lambda cands: cands
@@ -387,7 +317,27 @@ class _Search:
     def _fresh_cost(self, s, rule, w) -> int:
         return 0
 
-    def _search(self, s, budget: int, history, hset, records, fresh: int):
+    def _search(self, s, budget: int, hset, records, fresh: int):
+        """(derivation or None, pure) for s.  `hset` holds the sequents of
+        the branch below s, and a sequent equal to one of them is pruned.
+        nint/nintqc need this exact-repeat prune: their copy rules consume
+        the principal and they run no novelty test.
+
+        No check for an ancestor equal up to a renaming of labels is made:
+        on a labelled branch (every labelled calculus is invertible) none
+        can fire.
+        - Labels and atoms are never removed going up, so an ancestor and a
+          descendant with equal label and atom counts have no
+          world-creating, eigen or saturation step between them.
+        - The consuming rules left, the and/or rules, keep their principal
+          `_present` and replace it by smaller formulas; each copy step adds
+          a formula that was not present at its label.
+        - So going up, the set of present (label, side, formula) triples
+          grows strictly inside a finite set at each copy step and never
+          shrinks, and with no copy step the formulas shrink.  A renaming
+          keeps both the size of that set and the size of the formulas, so
+          no bijection on labels maps the ancestor onto the descendant.
+        """
         hit = self.proved.get(s)
         if hit is not None:
             return hit, True
@@ -399,17 +349,14 @@ class _Search:
                 d = self._node(s, rule, hole, (), w)
                 self.proved[s] = d
                 return d, True
-        if s in hset or self._pruned(s, history):
+        if s in hset:
             return None, False
-        hist = history + (s,)
         hs = hset | {s}
 
         def attempt(rule, hole, prem, w, cost, recs, more_fresh):
             subs = []
             for p in prem:
-                sub, pure = self._search(
-                    p, budget - cost, hist, hs, recs, fresh + more_fresh
-                )
+                sub, pure = self._search(p, budget - cost, hs, recs, fresh + more_fresh)
                 if sub is None:
                     return None, pure
                 subs.append(sub)
@@ -436,7 +383,7 @@ class _Search:
                     rule, s, ix, fresh, novel and filtered
                 ):
                     recs = records
-                    if cost and self.block:
+                    if cost and self.invertible:
                         recs = _fire_eigen(records, *self._eigen(s, hole, w))
                         if recs is None:
                             continue
@@ -542,10 +489,6 @@ class _Labelled(_Search):
 
     def _node(self, s, rule, hole, subs, w) -> LabelledDerivation:
         return LabelledDerivation(s, rule, subs, w)
-
-    def _pruned(self, s: LabelledSequent, history) -> bool:
-        # equal to an ancestor up to label renaming
-        return self.cfg.loop_check and any(_renaming_equal(s, h) for h in history)
 
     def _copy_order(self, s: LabelledSequent):
         # targets deep in the relational order first

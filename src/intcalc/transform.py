@@ -384,13 +384,30 @@ def _contract_atom(d: LabelledDerivation, dup, calc: str) -> LabelledDerivation:
     count = d.conclusion.count_rel(dup) if is_rel else d.conclusion.count_dom(dup)
     if count < 2:
         raise SequentError(f"duplicate {dup!r} not present twice")
+    return _drop_atom(d, dup, calc)
 
-    def go(n: LabelledDerivation) -> LabelledDerivation:
-        concl = n.conclusion.remove(rel=[dup]) if is_rel else n.conclusion.remove(dom=[dup])
-        prem = tuple(go(p) for p in n.premises)
-        return _mk(calc, n.rule, concl, prem, n.witness)
 
-    return go(d)
+def _drop_atom(d: LabelledDerivation, atom, calc: str, read=None) -> LabelledDerivation:
+    """Proof of d's conclusion minus one copy of the relational or domain
+    atom `atom`, which every sequent above keeps, since atoms persist upward.
+
+    While a second copy is left, nothing reads the dropped one, and the walk
+    only removes it from each sequent.  At a node n holding the last copy,
+    `read(n, target, drop)` rewrites an inference that reads it into a proof
+    of `target` (n's conclusion without it), using `drop` on subproofs, or
+    returns None when n does not read it."""
+    is_rel = isinstance(atom, RelAtom)
+
+    def drop(n: LabelledDerivation) -> LabelledDerivation:
+        c = n.conclusion
+        target = c.remove(rel=[atom]) if is_rel else c.remove(dom=[atom])
+        if read is not None and (c.count_rel(atom) if is_rel else c.count_dom(atom)) < 2:
+            new = read(n, target, drop)
+            if new is not None:
+                return new
+        return _mk(calc, n.rule, target, tuple(drop(p) for p in n.premises), n.witness)
+
+    return drop(d)
 
 
 def _contract_formula(
@@ -483,7 +500,7 @@ def _step(node: LabelledDerivation, calc: str):
     if node.rule is Rule.TRA:
         return (_tra_step(P, atom, w.rel, w.rel2, calc),
                 f"tra {w.rel!r} ; {w.rel2!r} rewritten")
-    return _nd_step(P, atom, w.rel, w.dom, calc), None
+    return _nd_step(P, atom, w.dom, calc), None
 
 
 def eliminate_ref(d: LabelledDerivation, calc: str) -> LabelledDerivation:
@@ -491,48 +508,33 @@ def eliminate_ref(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     return _eliminate(d, calc, (Rule.REF,))
 
 
+# id, id_q, imp_l and forall_l read their relational atom w<=v; each starred
+# twin is the same rule with v = w, which the rule table places at the
+# principal's label
+_STARRED = {r: Rule(f"{r.value}_star") for r in (Rule.ID, Rule.ID_Q, Rule.IMP_L, Rule.FORALL_L)}
+
+
 def _ref_step(P: LabelledDerivation, zz: RelAtom, calc: str) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of the self-loop zz."""
-    n = P
-    w = n.witness
-    C = n.conclusion
-    target = C.remove(rel=[zz])
-    spare = C.count_rel(zz) >= 2
 
-    def active_rels():
-        return [r for r in (w.rel, w.rel2) if r is not None]
-
-    if not spare and zz in active_rels():
-        if n.rule in (Rule.ID, Rule.ID_Q):
-            leaf = Rule.ID_STAR if n.rule is Rule.ID else Rule.ID_Q_STAR
-            # w = v = z, so both occurrences sit at the same label
-            return _mk(calc, leaf, target, (),
-                       Witness(principal=w.principal, formula=w.formula))
-        if n.rule is Rule.IMP_L:
-            p0 = _ref_step(n.premises[0], zz, calc)
-            p1 = _ref_step(n.premises[1], zz, calc)
-            return _mk(calc, Rule.IMP_L_STAR, target, (p0, p1),
-                       Witness(principal=w.principal))
-        if n.rule is Rule.FORALL_L:
-            p = _ref_step(n.premises[0], zz, calc)
-            return _mk(calc, Rule.FORALL_L_STAR, target, (p,),
-                       Witness(principal=w.principal, dom=w.dom))
+    def read(n: LabelledDerivation, target, drop):
+        w = n.witness
+        if zz not in (w.rel, w.rel2):
+            return None
+        if n.rule in _STARRED:
+            return _mk(calc, _STARRED[n.rule], target, tuple(drop(p) for p in n.premises),
+                       Witness(principal=w.principal, formula=w.formula, dom=w.dom))
         if n.rule is Rule.LIFT:
             # self-lift: the premise duplicates the principal formula
-            p = _ref_step(n.premises[0], zz, calc)
-            return contract_derivation(p, Rule.CTR_FL, w.principal, calc)
+            return contract_derivation(drop(n.premises[0]), Rule.CTR_FL, w.principal, calc)
         if n.rule is Rule.ND or n.rule is Rule.CD:
             # w = v = z: the added atom duplicates the source atom
-            dup = DomAtom(w.dom.a, zz.w)
-            p = _contract_atom(n.premises[0], dup, calc)
-            return _ref_step(p, zz, calc)
+            return drop(_contract_atom(n.premises[0], DomAtom(w.dom.a, zz.w), calc))
         if n.rule is Rule.TRA:
             raise TransformError("ref elimination hit a tra inference above it")
         raise TransformError(f"ref elimination: unhandled active case {n.rule.value}")
 
-    # context: remove the loop atom everywhere above
-    prem = tuple(_ref_step(p, zz, calc) for p in n.premises)
-    return _mk(calc, n.rule, target, prem, w)
+    return _drop_atom(P, zz, calc, read)
 
 
 def eliminate_tra(d: LabelledDerivation, calc: str) -> LabelledDerivation:
@@ -549,18 +551,16 @@ def _tra_step(
 ) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of the composite w<=u,
     given that w<=v and v<=u remain present."""
-    n = P
-    w = n.witness
-    C = n.conclusion
-    target = C.remove(rel=[comp])
-    spare = C.count_rel(comp) >= 2
     wl, vl, ul = r1.w, r1.v, r2.v
 
     def lift_down(onto: LabelledDerivation, a: Label, b: Label, f: Formula, rel: RelAtom):
         c = onto.conclusion.remove(ante=[(b, f)])
         return _mk(calc, Rule.LIFT, c, (onto,), Witness(principal=(a, f), rel=rel))
 
-    if not spare and comp in [r for r in (w.rel, w.rel2) if r is not None]:
+    def read(n: LabelledDerivation, target, drop):
+        w = n.witness
+        if comp not in (w.rel, w.rel2):
+            return None
         if n.rule is Rule.ID:
             # id* at the upper label, then lift back down the chain
             (pw, pf) = w.principal
@@ -586,11 +586,9 @@ def _tra_step(
             return cur
         if n.rule is Rule.IMP_L:
             (pw, pf) = w.principal
-            p0 = _tra_step(n.premises[0], comp, r1, r2, calc)
-            p1 = _tra_step(n.premises[1], comp, r1, r2, calc)
             add = dict(ante=[(vl, pf), (ul, pf)])
-            p0 = weaken_derivation(p0, calc, **add)
-            p1 = weaken_derivation(p1, calc, **add)
+            p0 = weaken_derivation(drop(n.premises[0]), calc, **add)
+            p1 = weaken_derivation(drop(n.premises[1]), calc, **add)
             c_star = target.add(ante=[(vl, pf), (ul, pf)])
             star = _mk(calc, Rule.IMP_L_STAR, c_star, (p0, p1),
                        Witness(principal=(ul, pf)))
@@ -598,32 +596,27 @@ def _tra_step(
             return lift_down(step1, wl, vl, pf, r1)
         if n.rule is Rule.FORALL_L:
             (pw, pf) = w.principal
-            inst = substitute_param(pf.body, w.dom.a, pf.var)
-            p = _tra_step(n.premises[0], comp, r1, r2, calc)
-            p = weaken_derivation(p, calc, ante=[(vl, pf)])
+            p = weaken_derivation(drop(n.premises[0]), calc, ante=[(vl, pf)])
             c_fl = target.add(ante=[(vl, pf)])
             fl = _mk(calc, Rule.FORALL_L, c_fl, (p,),
                      Witness(principal=(vl, pf), rel=r2, dom=w.dom))
             return lift_down(fl, wl, vl, pf, r1)
         if n.rule is Rule.LIFT:
             (pw, pf) = w.principal
-            p = _tra_step(n.premises[0], comp, r1, r2, calc)
-            p = weaken_derivation(p, calc, ante=[(vl, pf)])
+            p = weaken_derivation(drop(n.premises[0]), calc, ante=[(vl, pf)])
             c1 = p.conclusion.remove(ante=[(ul, pf)])
             step1 = _mk(calc, Rule.LIFT, c1, (p,), Witness(principal=(vl, pf), rel=r2))
             return lift_down(step1, wl, vl, pf, r1)
         if n.rule is Rule.ND:
             a = w.dom.a
-            p = _tra_step(n.premises[0], comp, r1, r2, calc)
-            p = weaken_derivation(p, calc, dom=[DomAtom(a, vl)])
+            p = weaken_derivation(drop(n.premises[0]), calc, dom=[DomAtom(a, vl)])
             c1 = p.conclusion.remove(dom=[DomAtom(a, ul)])
             s1 = _mk(calc, Rule.ND, c1, (p,), Witness(rel=r2, dom=DomAtom(a, vl)))
             c2 = c1.remove(dom=[DomAtom(a, vl)])
             return _mk(calc, Rule.ND, c2, (s1,), Witness(rel=r1, dom=DomAtom(a, wl)))
         if n.rule is Rule.CD:
             a = w.dom.a
-            p = _tra_step(n.premises[0], comp, r1, r2, calc)
-            p = weaken_derivation(p, calc, dom=[DomAtom(a, vl)])
+            p = weaken_derivation(drop(n.premises[0]), calc, dom=[DomAtom(a, vl)])
             c1 = p.conclusion.remove(dom=[DomAtom(a, wl)])
             s1 = _mk(calc, Rule.CD, c1, (p,), Witness(rel=r1, dom=DomAtom(a, vl)))
             c2 = c1.remove(dom=[DomAtom(a, vl)])
@@ -632,8 +625,7 @@ def _tra_step(
             f"tra elimination: unhandled active case {n.rule.value}"
         )
 
-    prem = tuple(_tra_step(p, comp, r1, r2, calc) for p in n.premises)
-    return _mk(calc, n.rule, target, prem, w)
+    return _drop_atom(P, comp, calc, read)
 
 
 def eliminate_nd_cd(d: LabelledDerivation, calc: str) -> LabelledDerivation:
@@ -643,67 +635,50 @@ def eliminate_nd_cd(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     return _eliminate(d, calc, (Rule.ND, Rule.CD))
 
 
-def _nd_step(
-    P: LabelledDerivation,
-    removed: DomAtom,
-    rel: RelAtom,
-    src: DomAtom,
-    calc: str,
-) -> LabelledDerivation:
+def _nd_step(P: LabelledDerivation, removed: DomAtom, src: DomAtom,
+             calc: str) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of `removed`, given that the
     source domain atom and its relational atom remain present."""
-    n = P
-    w = n.witness
-    C = n.conclusion
-    target = C.remove(dom=[removed])
-    spare = C.count_dom(removed) >= 2
 
-    if not spare and n.rule in (Rule.ID, Rule.ID_Q) and w.rel is not None:
-        (pw, pf) = w.principal
-        needed = [
-            DomAtom(a, pw)
-            for a in dict.fromkeys(t for t in pf.args if isinstance(t, Param))
-        ]
-        if removed in needed:
-            # rebuild as id_q* at the succedent label plus one lift
-            (sv, _) = w.formula
-            leaf_c = target.add(ante=[(sv, pf)])
-            leaf = _mk(calc, Rule.ID_Q_STAR, leaf_c, (),
-                       Witness(principal=(sv, pf), formula=(sv, pf)))
-            c = leaf_c.remove(ante=[(sv, pf)])
-            return _mk(calc, Rule.LIFT, c, (leaf,),
-                       Witness(principal=w.principal, rel=w.rel))
-
-    if not spare and w.dom == removed:
+    def read(n: LabelledDerivation, target, drop):
+        w = n.witness
+        if n.rule in (Rule.ID, Rule.ID_Q) and w.rel is not None:
+            # the atom's parameters must be in the domain of its label
+            (pw, pf) = w.principal
+            if removed.w == pw and removed.a in pf.args:
+                return _id_star_lift(calc, target, w)
+        if w.dom != removed:
+            return None
         if n.rule is Rule.FORALL_L:
             (pw, pf) = w.principal
             inst = substitute_param(pf.body, removed.a, pf.var)
-            p = _nd_step(n.premises[0], removed, rel, src, calc)
-            p = weaken_derivation(p, calc, ante=[(pw, inst)])
+            p = weaken_derivation(drop(n.premises[0]), calc, ante=[(pw, inst)])
             c1 = p.conclusion.remove(ante=[(w.rel.v, inst)])
             s1 = _mk(calc, Rule.LIFT, c1, (p,),
                      Witness(principal=(pw, inst), rel=w.rel))
             c2 = c1.remove(ante=[(pw, inst)])
             return _mk(calc, Rule.FORALL_L_STAR, c2, (s1,),
                        Witness(principal=w.principal, dom=src))
-        if n.rule is Rule.FORALL_L_STAR:
-            p = _nd_step(n.premises[0], removed, rel, src, calc)
-            return _mk(calc, Rule.FORALL_L_STAR, target, (p,),
-                       Witness(principal=w.principal, dom=src))
-        if n.rule is Rule.EXISTS_R:
-            p = _nd_step(n.premises[0], removed, rel, src, calc)
-            return _mk(calc, Rule.EXISTS_R_STAR, target, (p,),
-                       Witness(principal=w.principal, dom=src))
-        if n.rule is Rule.EXISTS_R_STAR:
-            p = _nd_step(n.premises[0], removed, rel, src, calc)
-            return _mk(calc, Rule.EXISTS_R_STAR, target, (p,),
+        if n.rule in (Rule.FORALL_L_STAR, Rule.EXISTS_R, Rule.EXISTS_R_STAR):
+            star = Rule.FORALL_L_STAR if n.rule is Rule.FORALL_L_STAR else Rule.EXISTS_R_STAR
+            return _mk(calc, star, target, (drop(n.premises[0]),),
                        Witness(principal=w.principal, dom=src))
         if n.rule in (Rule.ND, Rule.CD):
             raise TransformError("nd/cd elimination hit another nd/cd above it")
         raise TransformError(f"nd/cd elimination: unhandled active case {n.rule.value}")
 
-    prem = tuple(_nd_step(p, removed, rel, src, calc) for p in n.premises)
-    return _mk(calc, n.rule, target, prem, w)
+    return _drop_atom(P, removed, calc, read)
+
+
+def _id_star_lift(calc: str, concl: LabelledSequent, w: Witness) -> LabelledDerivation:
+    """concl from the id or id_q witness w (w:P => v:P with w<=v): id* (id_q*
+    on an atom with arguments) at v, then a lift of P from w up to v."""
+    (wl, pf) = w.principal
+    (vl, _) = w.formula
+    leaf_rule = Rule.ID_STAR if not pf.args else Rule.ID_Q_STAR
+    leaf = _mk(calc, leaf_rule, concl.add(ante=[(vl, pf)]), (),
+               Witness(principal=(vl, pf), formula=(vl, pf)))
+    return _mk(calc, Rule.LIFT, concl, (leaf,), Witness(principal=w.principal, rel=w.rel))
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +732,7 @@ def expand_derived_rules(d: LabelledDerivation, calc: str) -> LabelledDerivation
             return _mk(calc, Rule.AND_L, concl, (negl,),
                        Witness(principal=occ_pair))
         if n.rule in (Rule.ID, Rule.ID_Q):
-            (wl, pf) = w.principal
-            (vl, _) = w.formula
-            leaf_rule = Rule.ID_STAR if not pf.args else Rule.ID_Q_STAR
-            leaf_c = concl.add(ante=[(vl, pf)])
-            leaf = _mk(calc, leaf_rule, leaf_c, (),
-                       Witness(principal=(vl, pf), formula=(vl, pf)))
-            return _mk(calc, Rule.LIFT, concl, (leaf,),
-                       Witness(principal=(wl, pf), rel=w.rel))
+            return _id_star_lift(calc, concl, w)
         if n.rule is Rule.IMP_L:
             (wl, pf) = w.principal
             vl = w.rel.v

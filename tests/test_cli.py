@@ -168,6 +168,7 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["fuzz-soundness", "--max-worlds", "3000", "--models", "1"], 2),
         (["parse", "~" * 3000 + "p"], 2),
         (["prove", "(" * 400 + "p" + ")" * 400], 2),
+        (["prove", "--no-loop-check", "p"], 2),
         (["check", str(deep)], 2),
     ]
     cases += [([cmd, str(f)], 2) for f in malformed for cmd in ("check", "eliminate")]

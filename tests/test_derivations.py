@@ -16,20 +16,23 @@ from intcalc.derivations import (
     generalized_init_step,
     simulate_generalization,
 )
+from test_search import _rule_digest
 
 w, v = Label("w"), Label("v")
 x = Var("x")
 a = Param("a")
 
 
+INITIAL_CORPUS = [
+    "p", "false", "p & q -> r", "p | (q -> p)",
+    "forall x. r(x)", "exists y. r(y) & q",
+    "forall x. r(x) -> exists y. s(x, y)",
+    "r(#a) & forall x. rr(x, #b)",
+]
+
+
 def test_generalized_initial_step_corpus():
-    corpus = [
-        "p", "false", "p & q -> r", "p | (q -> p)",
-        "forall x. r(x)", "exists y. r(y) & q",
-        "forall x. r(x) -> exists y. s(x, y)",
-        "r(#a) & forall x. rr(x, #b)",
-    ]
-    for text in corpus:
+    for text in INITIAL_CORPUS:
         f = parse_formula(text)
         d = generalized_init_step(f, w, v)
         ok, where, msg = check_derivation("g3intqc", d)
@@ -37,6 +40,29 @@ def test_generalized_initial_step_corpus():
         d2 = generalized_init_refl(f, w)
         ok2, _, msg2 = check_derivation("g3intqc", d2)
         assert ok2, f"{text}: {msg2}"
+
+
+# (proof nodes, height, rule digest) of generalized_init_step(f, w, v) and
+# generalized_init_refl(f, w) on each formula of INITIAL_CORPUS
+INITIAL_SHAPES = [
+    ((1, 1, "d4d8cdc8f952"), (2, 2, "9956f2855b95")),
+    ((1, 1, "4f49a4b74c4a"), (1, 1, "4f49a4b74c4a")),
+    ((11, 7, "1ec90246342a"), (10, 6, "df86d35a6a25")),
+    ((11, 7, "c2126da71848"), (11, 6, "491e1e4d89cc")),
+    ((5, 5, "889db0a04c78"), (4, 4, "645925a5a94e")),
+    ((7, 6, "e750f6a15d1c"), (8, 6, "2a9e7ae3316f")),
+    ((13, 10, "a21842248c89"), (12, 9, "2907aeccace0")),
+    ((9, 8, "17a80a678c19"), (9, 7, "6b897468728b")),
+]
+
+
+def test_generalized_initial_shapes_are_pinned():
+    # both builders share one construction; a change in it shows up here
+    for text, want in zip(INITIAL_CORPUS, INITIAL_SHAPES, strict=True):
+        f = parse_formula(text)
+        got = tuple((sum(1 for _ in d.nodes()), d.height(), _rule_digest(d))
+                    for d in (generalized_init_step(f, w, v), generalized_init_refl(f, w)))
+        assert got == want, text
 
 
 def test_generalized_initial_found_by_search():

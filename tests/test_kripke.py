@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from intcalc.formula import And, Atom, Bot, Impl, Neg, Or, Param, atoms_of, parse_formula
 from intcalc.kripke import (
     BudgetExceeded,
+    _closure,
     KripkeModel,
     ModelError,
     count_models,
@@ -189,6 +190,34 @@ def test_model_loader_closes_and_rejects():
     assert ("a", "c") in m.leq and ("a", "a") in m.leq
     with pytest.raises(ModelError, match="monotone"):
         load_model("worlds: a b\nleq: a <= b\nval: p @ a\n")
+
+
+def _closure_reference(worlds, edges):
+    # compose the relation with itself until nothing new appears
+    rel = {(w, w) for w in worlds} | set(edges)
+    while new := {(a, d) for (a, b) in rel for (c, d) in rel if b == c} - rel:
+        rel |= new
+    return frozenset(rel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just([f"w{i}" for i in range(n)]),
+    st.sets(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3 * n))))
+def test_closure_matches_the_composition_fixpoint(case):
+    # edge ends may name a world missing from the list (index n)
+    worlds, pairs = case
+    edges = [(f"w{i}", f"w{j}") for i, j in pairs]
+    assert _closure(worlds, edges) == _closure_reference(worlds, edges)
+
+
+def test_model_loader_closes_a_long_chain():
+    n = 150
+    text = ("worlds: " + " ".join(f"w{i}" for i in range(n)) + "\nleq: "
+            + ", ".join(f"w{i} <= w{i + 1}" for i in range(n - 1)) + "\n")
+    m = load_model(text)
+    assert len(m.leq) == n * (n + 1) // 2
+    assert ("w0", f"w{n - 1}") in m.leq and (f"w{n - 1}", "w0") not in m.leq
 
 
 def test_unassigned_parameter_error():
