@@ -35,12 +35,28 @@ from .labelled import (
     Rule,
     SequentError,
     Witness,
+    check_inference,
     fresh_labels,
     fresh_params,
 )
-from .transform import _mk, substitute_derivation, weaken_derivation
+from .transform import TransformError, substitute_derivation, weaken_derivation
 
 CALC = "g3intqc"
+
+
+def _mk(
+    calc: str,
+    rule: Rule,
+    conclusion: LabelledSequent,
+    premises: tuple[LabelledDerivation, ...],
+    witness: Witness,
+) -> LabelledDerivation:
+    ok, msg = check_inference(
+        calc, rule, conclusion, [p.conclusion for p in premises], witness
+    )
+    if not ok:
+        raise TransformError(f"construction produced a bad {rule.value} inference: {msg}")
+    return LabelledDerivation(conclusion, rule, premises, witness)
 
 
 def _used_names(s: LabelledSequent) -> set[str]:

@@ -233,6 +233,11 @@ def show_sequent(s: LabelledSequent) -> str:
 
 
 def parse_sequent(text: str) -> LabelledSequent:
+    return _read_sequent(text, parse_formula)
+
+
+def _read_sequent(text: str, formula) -> LabelledSequent:
+    """parse_sequent, reading each formula with `formula(text)`."""
     if "=>" not in text:
         raise SequentError("missing '=>' in labelled sequent")
     left, right = text.split("=>", 1)
@@ -272,14 +277,14 @@ def parse_sequent(text: str) -> LabelledSequent:
             dom.append(DomAtom(Param(name), Label(d[2:-1].strip())))
         elif ":" in part:
             w, f = part.split(":", 1)
-            ante.append((Label(w.strip()), parse_formula(f)))
+            ante.append((Label(w.strip()), formula(f)))
         else:
             raise SequentError(f"cannot read sequent part {part!r}")
     for part in split_top(right):
         if ":" not in part:
             raise SequentError(f"cannot read sequent part {part!r}")
         w, f = part.split(":", 1)
-        succ.append((Label(w.strip()), parse_formula(f)))
+        succ.append((Label(w.strip()), formula(f)))
     return LabelledSequent(tuple(rel), tuple(dom), tuple(ante), tuple(succ))
 
 

@@ -160,13 +160,18 @@ def show_nested(s: NestedSequent) -> str:
 
 
 def parse_nested(text: str) -> NestedSequent:
-    s, rest = _parse_nested(text, 0)
+    return _read_nested(text, parse_formula)
+
+
+def _read_nested(text: str, formula) -> NestedSequent:
+    """parse_nested, reading each formula with `formula(text)`."""
+    s, rest = _parse_nested(text, 0, formula)
     if rest != len(text):
         raise SequentError(f"trailing input in nested sequent at {rest}")
     return s
 
 
-def _parse_nested(text: str, start: int) -> tuple[NestedSequent, int]:
+def _parse_nested(text: str, start: int, formula) -> tuple[NestedSequent, int]:
     # scan for the top-level arrow
     i, depth = start, 0
     arrow = -1
@@ -186,7 +191,7 @@ def _parse_nested(text: str, start: int) -> tuple[NestedSequent, int]:
         i += 1
     if arrow < 0:
         raise SequentError("missing top-level '->' in nested sequent")
-    ante = [parse_formula(p) for p in _split_top(text[start:arrow]) if p]
+    ante = [formula(p) for p in _split_top(text[start:arrow]) if p]
     # walk the succedent: formulas and [children]
     succ: list[Formula] = []
     children: list[NestedSequent] = []
@@ -197,7 +202,7 @@ def _parse_nested(text: str, start: int) -> tuple[NestedSequent, int]:
     def flush() -> None:
         t = "".join(cur).strip()
         if t:
-            succ.append(parse_formula(t))
+            succ.append(formula(t))
         cur.clear()
 
     while i < len(text):
@@ -206,7 +211,7 @@ def _parse_nested(text: str, start: int) -> tuple[NestedSequent, int]:
             break
         if c == "[" and depth == 0 and not "".join(cur).strip():
             flush()
-            child, j = _parse_nested(text, i + 1)
+            child, j = _parse_nested(text, i + 1, formula)
             if j >= len(text) or text[j] != "]":
                 raise SequentError(f"unclosed '[' at {i}")
             children.append(child)

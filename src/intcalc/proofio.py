@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .formula import Param, parse_formula, show_formula
+from .formula import Formula, Param, parse_formula, show_formula
 from .labelled import (
     DomAtom,
     Label,
@@ -19,25 +19,20 @@ from .labelled import (
     Rule,
     SequentError,
     Witness,
-    parse_sequent,
+    _read_sequent,
     show_sequent,
 )
 from .nested import (
     NRule,
     NWitness,
     NestedDerivation,
-    parse_nested,
+    _read_nested,
     show_nested,
 )
 
 
 def _lf_text(lf) -> str:
     return f"{lf[0].name}: {show_formula(lf[1])}"
-
-
-def _lf_parse(text: str):
-    w, f = text.split(":", 1)
-    return (Label(w.strip()), parse_formula(f))
 
 
 def witness_to_json(w: Witness) -> dict:
@@ -76,20 +71,6 @@ def _parse_dom(text: str) -> DomAtom:
     return DomAtom(Param(a.strip().lstrip("#")), Label(d[2:-1].strip()))
 
 
-def witness_from_json(data: dict) -> Witness:
-    return Witness(
-        principal=_lf_parse(data["principal"]) if "principal" in data else None,
-        formula=_lf_parse(data["formula"]) if "formula" in data else None,
-        rel=_parse_rel(data["rel"]) if "rel" in data else None,
-        rel2=_parse_rel(data["rel2"]) if "rel2" in data else None,
-        dom=_parse_dom(data["dom"]) if "dom" in data else None,
-        label=Label(data["label"]) if "label" in data else None,
-        label2=Label(data["label2"]) if "label2" in data else None,
-        param=Param(data["param"]) if "param" in data else None,
-        param2=Param(data["param2"]) if "param2" in data else None,
-    )
-
-
 def _check_node(data, witness_ints=()) -> None:
     """Raises SequentError unless data has the shape of a proof node; the
     witness fields are strings, those named in witness_ints integers."""
@@ -116,16 +97,6 @@ def labelled_to_json(d: LabelledDerivation) -> dict:
     }
 
 
-def labelled_from_json(data: dict) -> LabelledDerivation:
-    _check_node(data)
-    return LabelledDerivation(
-        parse_sequent(data["sequent"]),
-        Rule(data["rule"]),
-        tuple(labelled_from_json(p) for p in data.get("premises", ())),
-        witness_from_json(data.get("witness", {})),
-    )
-
-
 def nwitness_to_json(w: NWitness) -> dict:
     out: dict = {}
     if w.formula is not None:
@@ -135,14 +106,6 @@ def nwitness_to_json(w: NWitness) -> dict:
     if w.child is not None:
         out["child"] = w.child
     return out
-
-
-def nwitness_from_json(data: dict) -> NWitness:
-    return NWitness(
-        formula=parse_formula(data["formula"]) if "formula" in data else None,
-        param=Param(data["param"]) if "param" in data else None,
-        child=data.get("child"),
-    )
 
 
 def nested_to_json(d: NestedDerivation) -> dict:
@@ -155,18 +118,67 @@ def nested_to_json(d: NestedDerivation) -> dict:
     }
 
 
-def nested_from_json(data: dict) -> NestedDerivation:
-    _check_node(data, witness_ints=("child",))
-    hole = data.get("hole", [])
-    if not isinstance(hole, list) or not all(isinstance(i, int) and i >= 0 for i in hole):
-        raise SequentError("proof node 'hole' is not a list of non-negative integers")
-    return NestedDerivation(
-        parse_nested(data["sequent"]),
-        NRule(data["rule"]),
-        tuple(hole),
-        tuple(nested_from_json(p) for p in data.get("premises", ())),
-        nwitness_from_json(data.get("witness", {})),
-    )
+class _Reader:
+    """Reads the derivation of one proof file.  A proof repeats its
+    formulas at every node, so each distinct formula text is parsed once
+    and its Formula shared by every node that holds it."""
+
+    def __init__(self):
+        self.formulas: dict[str, Formula] = {}
+
+    def formula(self, text: str) -> Formula:
+        f = self.formulas.get(text)
+        if f is None:
+            # the module attribute, looked up per call, so that a wrapper
+            # put on it sees every parse
+            f = self.formulas[text] = parse_formula(text)
+        return f
+
+    def lf(self, text: str):
+        w, f = text.split(":", 1)
+        return (Label(w.strip()), self.formula(f))
+
+    def witness(self, data: dict) -> Witness:
+        return Witness(
+            principal=self.lf(data["principal"]) if "principal" in data else None,
+            formula=self.lf(data["formula"]) if "formula" in data else None,
+            rel=_parse_rel(data["rel"]) if "rel" in data else None,
+            rel2=_parse_rel(data["rel2"]) if "rel2" in data else None,
+            dom=_parse_dom(data["dom"]) if "dom" in data else None,
+            label=Label(data["label"]) if "label" in data else None,
+            label2=Label(data["label2"]) if "label2" in data else None,
+            param=Param(data["param"]) if "param" in data else None,
+            param2=Param(data["param2"]) if "param2" in data else None,
+        )
+
+    def labelled(self, data: dict) -> LabelledDerivation:
+        _check_node(data)
+        return LabelledDerivation(
+            _read_sequent(data["sequent"], self.formula),
+            Rule(data["rule"]),
+            tuple(self.labelled(p) for p in data.get("premises", ())),
+            self.witness(data.get("witness", {})),
+        )
+
+    def nwitness(self, data: dict) -> NWitness:
+        return NWitness(
+            formula=self.formula(data["formula"]) if "formula" in data else None,
+            param=Param(data["param"]) if "param" in data else None,
+            child=data.get("child"),
+        )
+
+    def nested(self, data: dict) -> NestedDerivation:
+        _check_node(data, witness_ints=("child",))
+        hole = data.get("hole", [])
+        if not isinstance(hole, list) or not all(isinstance(i, int) and i >= 0 for i in hole):
+            raise SequentError("proof node 'hole' is not a list of non-negative integers")
+        return NestedDerivation(
+            _read_nested(data["sequent"], self.formula),
+            NRule(data["rule"]),
+            tuple(hole),
+            tuple(self.nested(p) for p in data.get("premises", ())),
+            self.nwitness(data.get("witness", {})),
+        )
 
 
 def dump_proof(d, calculus: str) -> str:
@@ -180,7 +192,11 @@ def dump_proof(d, calculus: str) -> str:
 
 
 def load_proof(text: str):
-    """Returns (derivation, kind, calculus)."""
+    """Returns (derivation, kind, calculus).
+
+    Each distinct formula text in the file is parsed once, and the nodes
+    that hold it share the one Formula.  The table of parsed texts belongs
+    to this call and is dropped when it returns."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise SequentError("proof file is not a JSON object")
@@ -189,7 +205,7 @@ def load_proof(text: str):
     if not isinstance(calc, str):
         raise SequentError("proof file 'calculus' is not a string")
     if kind == "labelled":
-        return labelled_from_json(doc.get("proof")), kind, calc
+        return _Reader().labelled(doc.get("proof")), kind, calc
     if kind == "nested":
-        return nested_from_json(doc.get("proof")), kind, calc
+        return _Reader().nested(doc.get("proof")), kind, calc
     raise SequentError(f"unknown proof kind {kind!r}")

@@ -318,14 +318,17 @@ class _Search:
         return 0
 
     def _search(self, s, budget: int, hset, records, fresh: int):
-        """(derivation or None, pure) for s.  `hset` holds the sequents of
-        the branch below s, and a sequent equal to one of them is pruned.
-        nint/nintqc need this exact-repeat prune: their copy rules consume
-        the principal and they run no novelty test.
+        """(derivation or None, pure) for s.  In nint/nintqc, `hset` holds
+        the sequents of the branch below s, and a sequent equal to one of
+        them is pruned.  They need this exact-repeat prune: their copy rules
+        consume the principal and they run no novelty test.  The other
+        calculi keep no branch set (`hset` stays empty): the argument below
+        holds for an exact repeat too, the identity being a renaming.
 
         No check for an ancestor equal up to a renaming of labels is made:
-        on a labelled branch (every labelled calculus is invertible) none
-        can fire.
+        on a branch of an invertible calculus none can fire.  The argument
+        is given for labelled branches; a nested sequent is a treelike
+        labelled one, with its children for labels.
         - Labels and atoms are never removed going up, so an ancestor and a
           descendant with equal label and atom counts have no
           world-creating, eigen or saturation step between them.
@@ -349,14 +352,15 @@ class _Search:
                 d = self._node(s, rule, hole, (), w)
                 self.proved[s] = d
                 return d, True
-        if s in hset:
-            return None, False
-        hs = hset | {s}
+        if not self.invertible:
+            if s in hset:
+                return None, False
+            hset = hset | {s}
 
         def attempt(rule, hole, prem, w, cost, recs, more_fresh):
             subs = []
             for p in prem:
-                sub, pure = self._search(p, budget - cost, hs, recs, fresh + more_fresh)
+                sub, pure = self._search(p, budget - cost, hset, recs, fresh + more_fresh)
                 if sub is None:
                     return None, pure
                 subs.append(sub)

@@ -3,8 +3,11 @@ functions, and the elimination pipeline that turns G3Int/G3IntQC
 derivations into derivations over the treelike rule sets, ready for the
 nested translation.
 
-Every rewrite this module performs is re-checked node by node as it is
-built; a failed check is an internal invariant breach, not a user error.
+The rewrites build their nodes unchecked.  Each public transform checks
+its result once, every inference of it, before returning it (`_checked`);
+a transform that calls another calls its unchecked body, so no result is
+checked twice and a node that a later step throws away is never checked.
+A failed check is an internal invariant breach, not a user error.
 
 Elimination of ref, tra, nd and cd follows the paper's induction in one
 post-order pass (`_eliminate`): a rule is first removed from the subproofs
@@ -47,7 +50,6 @@ from .labelled import (
     Witness,
     _multiset_diff,
     check_derivation,
-    check_inference,
     fresh_labels,
     fresh_params,
     placed,
@@ -94,19 +96,19 @@ class TransformReport:
         return "\n".join(lines) + "\n"
 
 
-def _mk(
-    calc: str,
-    rule: Rule,
-    conclusion: LabelledSequent,
-    premises: tuple[LabelledDerivation, ...],
-    witness: Witness,
-) -> LabelledDerivation:
-    ok, msg = check_inference(
-        calc, rule, conclusion, [p.conclusion for p in premises], witness
-    )
+def _checked(what: str, calc: str, d: LabelledDerivation, out: LabelledDerivation,
+             same_height: bool = False) -> LabelledDerivation:
+    """out, the rewrite of d, once every inference of it checks in calc
+    (and, with same_height, once it is as high as d); out is d when nothing
+    was rewritten, and is returned unchecked."""
+    if out is d:
+        return out
+    if same_height and out.height() != d.height():
+        raise TransformError(f"{what} changed the derivation height")
+    ok, where, msg = check_derivation(calc, out)
     if not ok:
-        raise TransformError(f"rewrite produced a bad {rule.value} inference: {msg}")
-    return LabelledDerivation(conclusion, rule, premises, witness)
+        raise TransformError(f"{what} produced a bad inference at {where}: {msg}")
+    return out
 
 
 def _no_tags(d: LabelledDerivation) -> None:
@@ -152,6 +154,10 @@ def substitute_derivation(
     double-induction recipe), so side conditions survive.
     """
     _no_tags(d)
+    return _checked("substitution", calc, d, _substitute(d, kind, new, old), same_height=True)
+
+
+def _substitute(d: LabelledDerivation, kind: str, new, old) -> LabelledDerivation:
     used = _names_on_clash(d, {new.name, old.name})
     clash = {new, old}
 
@@ -162,15 +168,12 @@ def substitute_derivation(
             else dict(param=sub, formula=lambda f: rename_param(f, new, old)))
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
-        n = _rename_eigen(n, clash, used, calc)
+        n = _rename_eigen(n, clash, used)
         prem = tuple(go(p) for p in n.premises)
         concl = substitute_sequent(n.conclusion, kind, new, old)
-        return _mk(calc, n.rule, concl, prem, _map_witness(n.witness, **maps))
+        return LabelledDerivation(concl, n.rule, prem, _map_witness(n.witness, **maps))
 
-    out = go(d)
-    if out.height() != d.height():
-        raise TransformError("substitution changed the derivation height")
-    return out
+    return go(d)
 
 
 def _names_on_clash(d: LabelledDerivation, extra: set[str]):
@@ -181,7 +184,7 @@ def _names_on_clash(d: LabelledDerivation, extra: set[str]):
     return functools.cache(lambda: d.all_labels() | d.all_params() | extra)
 
 
-def _rename_eigen(n: LabelledDerivation, clash: set, used, calc: str) -> LabelledDerivation:
+def _rename_eigen(n: LabelledDerivation, clash: set, used) -> LabelledDerivation:
     """n with its eigenlabel, then its eigenparameter, renamed to a name
     fresh for `used()` where it is in `clash`."""
     for kind, eigen, fresh in (("label", EIGEN_LABEL, fresh_labels),
@@ -189,8 +192,9 @@ def _rename_eigen(n: LabelledDerivation, clash: set, used, calc: str) -> Labelle
         old = getattr(n.witness, kind)
         if n.rule in eigen and old in clash:
             new = fresh(used())[0]
-            prem = tuple(substitute_derivation(p, kind, new, old, calc) for p in n.premises)
-            n = _mk(calc, n.rule, n.conclusion, prem, dc_replace(n.witness, **{kind: new}))
+            prem = tuple(_substitute(p, kind, new, old) for p in n.premises)
+            n = LabelledDerivation(n.conclusion, n.rule, prem,
+                                   dc_replace(n.witness, **{kind: new}))
     return n
 
 
@@ -207,6 +211,10 @@ def weaken_derivation(
     Eigenvariables clashing with the added material are renamed first.
     """
     _no_tags(d)
+    return _checked("weakening", calc, d, _weaken(d, rel, dom, ante, succ), same_height=True)
+
+
+def _weaken(d: LabelledDerivation, rel=(), dom=(), ante=(), succ=()) -> LabelledDerivation:
     rel, dom, ante, succ = tuple(rel), tuple(dom), tuple(ante), tuple(succ)
     if not (rel or dom or ante or succ):
         return d
@@ -215,14 +223,11 @@ def weaken_derivation(
     used = _names_on_clash(d, {x.name for x in clash})
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
-        n = _rename_eigen(n, clash, used, calc)
+        n = _rename_eigen(n, clash, used)
         prem = tuple(go(p) for p in n.premises)
-        return _mk(calc, n.rule, n.conclusion.add(rel, dom, ante, succ), prem, n.witness)
+        return LabelledDerivation(n.conclusion.add(rel, dom, ante, succ), n.rule, prem, n.witness)
 
-    out = go(d)
-    if out.height() != d.height():
-        raise TransformError("weakening changed the derivation height")
-    return out
+    return go(d)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +263,11 @@ def invert_derivation(
     where lift interaction may grow the proof.
     """
     _no_tags(d)
+    return _checked("inversion", calc, d, _inverted(d, rule, witness, premise_index))
+
+
+def _inverted(d: LabelledDerivation, rule: Rule, witness: Witness,
+              premise_index: int) -> LabelledDerivation:
     want = premises_for(rule, d.conclusion, witness)
     if premise_index >= len(want):
         raise SequentError(f"{rule.value} has no premise {premise_index}")
@@ -265,14 +275,14 @@ def invert_derivation(
     if rule not in CONSUMES:
         # the rule keeps its conclusion in its premises
         c = d.conclusion
-        return weaken_derivation(
-            d, calc, _multiset_diff(target.rel, c.rel), _multiset_diff(target.dom, c.dom),
+        return _weaken(
+            d, _multiset_diff(target.rel, c.rel), _multiset_diff(target.dom, c.dom),
             _multiset_diff(target.ante, c.ante), _multiset_diff(target.succ, c.succ),
         )
     used = d.all_labels() | d.all_params()
     pw = _eigen_witness(rule, witness.principal, used, witness.label, witness.param)
     plan = (_pieces(rule, pw)[premise_index], pw)
-    out = _invert(d, rule, premise_index, {pw.principal: [plan]}, used, calc)
+    out = _invert(d, rule, premise_index, {pw.principal: [plan]}, used)
     if out.conclusion != target:
         raise TransformError(
             f"inversion produced {out.conclusion!r}, wanted {target!r}"
@@ -294,7 +304,6 @@ def _invert(
     idx: int,
     occs: dict[LabelledFormula, list[tuple[LabelledSequent, Witness]]],
     used: set[str],
-    calc: str,
 ) -> LabelledDerivation:
     side = CONSUMES[rule]
     n = d
@@ -313,10 +322,10 @@ def _invert(
         sub = n.premises[idx]
         # align the node's own fresh names with the plan's
         if plan_w.label is not None and w.label != plan_w.label:
-            sub = substitute_derivation(sub, "label", plan_w.label, w.label, calc)
+            sub = _substitute(sub, "label", plan_w.label, w.label)
         if plan_w.param is not None and w.param != plan_w.param:
-            sub = substitute_derivation(sub, "param", plan_w.param, w.param, calc)
-        return _invert(sub, rule, idx, rest, used, calc) if rest else sub
+            sub = _substitute(sub, "param", plan_w.param, w.param)
+        return _invert(sub, rule, idx, rest, used) if rest else sub
 
     # lift duplicates a tracked antecedent occurrence into the upper label
     if (
@@ -331,33 +340,33 @@ def _invert(
         wu = _eigen_witness(rule, up_occ, used)
         grown = dict(occs)
         grown[up_occ] = grown.get(up_occ, []) + [(_pieces(rule, wu)[idx], wu)]
-        inner = _invert(n.premises[0], rule, idx, grown, used, calc)
+        inner = _invert(n.premises[0], rule, idx, grown, used)
         piece_w, plan_w = tracked[0]
         if rule is Rule.EXISTS_L:
             # unify the two fresh parameters, lift the instance, close the
             # duplicated domain atom with nd
-            inner = substitute_derivation(inner, "param", plan_w.param, wu.param, calc)
+            inner = _substitute(inner, "param", plan_w.param, wu.param)
             inst_w = piece_w.ante[0]
             inst_u = (u, inst_w[1])
             c1 = inner.conclusion.remove(ante=[inst_u])
-            inner = _mk(calc, Rule.LIFT, c1, (inner,),
-                        Witness(principal=inst_w, rel=w.rel))
+            inner = LabelledDerivation(c1, Rule.LIFT, (inner,),
+                                       Witness(principal=inst_w, rel=w.rel))
             dom_w = piece_w.dom[0]
             dom_u = DomAtom(dom_w.a, u)
             c2 = c1.remove(dom=[dom_u])
-            return _mk(calc, Rule.ND, c2, (inner,), Witness(rel=w.rel, dom=dom_w))
+            return LabelledDerivation(c2, Rule.ND, (inner,), Witness(rel=w.rel, dom=dom_w))
         cur = inner
         for (lbl, g) in piece_w.ante:
             up = (u, g)
             c1 = cur.conclusion.remove(ante=[up])
-            cur = _mk(calc, Rule.LIFT, c1, (cur,),
-                      Witness(principal=(lbl, g), rel=w.rel))
+            cur = LabelledDerivation(c1, Rule.LIFT, (cur,),
+                                     Witness(principal=(lbl, g), rel=w.rel))
         return cur
 
     # context: the tracked occurrences ride along unchanged
-    prem = tuple(_invert(p, rule, idx, occs, used, calc) for p in n.premises)
+    prem = tuple(_invert(p, rule, idx, occs, used) for p in n.premises)
     concl = _apply_plans(n.conclusion, side, occs)
-    return _mk(calc, n.rule, concl, prem, w)
+    return LabelledDerivation(concl, n.rule, prem, w)
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +379,26 @@ def contract_derivation(
     (ctr_Fl / ctr_Fr) from the end sequent, rebuilding the proof."""
     _no_tags(d)
     if kind is Rule.CTR_R:
-        return _contract_atom(d, duplicate, calc)
-    if kind is Rule.CTR_FL:
-        return _contract_formula(d, duplicate, True, calc)
-    if kind is Rule.CTR_FR:
-        return _contract_formula(d, duplicate, False, calc)
-    raise SequentError(f"{kind.value} is not a contraction kind")
+        out = _contract_atom(d, duplicate)
+    elif kind is Rule.CTR_FL:
+        out = _contract_formula(d, duplicate, True)
+    elif kind is Rule.CTR_FR:
+        out = _contract_formula(d, duplicate, False)
+    else:
+        raise SequentError(f"{kind.value} is not a contraction kind")
+    return _checked("contraction", calc, d, out)
 
 
-def _contract_atom(d: LabelledDerivation, dup, calc: str) -> LabelledDerivation:
+def _contract_atom(d: LabelledDerivation, dup) -> LabelledDerivation:
     """hp: atoms persist upward, so one copy vanishes from every sequent."""
     is_rel = isinstance(dup, RelAtom)
     count = d.conclusion.count_rel(dup) if is_rel else d.conclusion.count_dom(dup)
     if count < 2:
         raise SequentError(f"duplicate {dup!r} not present twice")
-    return _drop_atom(d, dup, calc)
+    return _drop_atom(d, dup)
 
 
-def _drop_atom(d: LabelledDerivation, atom, calc: str, read=None) -> LabelledDerivation:
+def _drop_atom(d: LabelledDerivation, atom, read=None) -> LabelledDerivation:
     """Proof of d's conclusion minus one copy of the relational or domain
     atom `atom`, which every sequent above keeps, since atoms persist upward.
 
@@ -405,26 +416,24 @@ def _drop_atom(d: LabelledDerivation, atom, calc: str, read=None) -> LabelledDer
             new = read(n, target, drop)
             if new is not None:
                 return new
-        return _mk(calc, n.rule, target, tuple(drop(p) for p in n.premises), n.witness)
+        return LabelledDerivation(target, n.rule, tuple(drop(p) for p in n.premises), n.witness)
 
     return drop(d)
 
 
 def _contract_formula(
-    d: LabelledDerivation, dup: LabelledFormula, left: bool, calc: str
+    d: LabelledDerivation, dup: LabelledFormula, left: bool
 ) -> LabelledDerivation:
     side = "ante" if left else "succ"
     if getattr(d.conclusion, side).count(dup) < 2:
         raise SequentError(f"duplicate {dup!r} not present twice")
     if CONSUMES.get(d.rule) == side and d.witness.principal == dup:
-        return _contract_principal(d, dup, calc)
-    prem = tuple(_contract_formula(p, dup, left, calc) for p in d.premises)
-    return _mk(calc, d.rule, d.conclusion.remove(**{side: [dup]}), prem, d.witness)
+        return _contract_principal(d, dup)
+    prem = tuple(_contract_formula(p, dup, left) for p in d.premises)
+    return LabelledDerivation(d.conclusion.remove(**{side: [dup]}), d.rule, prem, d.witness)
 
 
-def _contract_principal(
-    n: LabelledDerivation, dup: LabelledFormula, calc: str
-) -> LabelledDerivation:
+def _contract_principal(n: LabelledDerivation, dup: LabelledFormula) -> LabelledDerivation:
     """The contracted formula is principal of a consuming rule: in each
     premise, invert the surviving copy with fresh eigennames, merge those
     onto the rule's own, contract the pieces the rule added, and reapply."""
@@ -433,47 +442,57 @@ def _contract_principal(
     fresh_w = _eigen_witness(rule, dup, n.all_labels() | n.all_params())
     prem = []
     for idx, (sub, piece) in enumerate(zip(n.premises, _pieces(rule, w))):
-        p = invert_derivation(sub, rule, fresh_w, calc, idx)
+        p = _inverted(sub, rule, fresh_w, idx)
         if fresh_w.label is not None:
-            p = substitute_derivation(p, "label", w.label, fresh_w.label, calc)
+            p = _substitute(p, "label", w.label, fresh_w.label)
         if fresh_w.param is not None:
-            p = substitute_derivation(p, "param", w.param, fresh_w.param, calc)
+            p = _substitute(p, "param", w.param, fresh_w.param)
         for atom in piece.rel + piece.dom:
-            p = _contract_atom(p, atom, calc)
+            p = _contract_atom(p, atom)
         for lf in piece.ante:
-            p = contract_derivation(p, Rule.CTR_FL, lf, calc)
+            p = _contract_formula(p, lf, True)
         for lf in piece.succ:
-            p = contract_derivation(p, Rule.CTR_FR, lf, calc)
+            p = _contract_formula(p, lf, False)
         prem.append(p)
     concl = n.conclusion.remove(**{CONSUMES[rule]: [dup]})
-    return _mk(calc, rule, concl, tuple(prem), w)
+    return LabelledDerivation(concl, rule, tuple(prem), w)
 
 
 # ---------------------------------------------------------------------------
 # structural-rule elimination
 
-def _eliminate(d: LabelledDerivation, calc: str, rules: tuple, steps=None) -> LabelledDerivation:
+def _eliminate(d: LabelledDerivation, rules: tuple, steps=None) -> LabelledDerivation:
     """Removes every occurrence of `rules`, by induction on the derivation:
     first from the subproofs above an inference, then from the inference
     itself.
 
-    A node whose premises changed is rebuilt and re-checked.  A node whose
-    rule is in `rules` then stands on premises free of them, and its step
+    A node whose premises changed is rebuilt.  A node whose rule is in
+    `rules` then stands on premises free of them, and its step
     (`_ref_step`, `_tra_step`, `_nd_step`) replaces it by a subproof of the
     same sequent without any occurrence, so the number of occurrences falls
     with every step; the step's note, if any, is appended to `steps`.
     Steps run leftmost-deepest first.
+
+    Checking: each step is held here to its contract, that it keeps the
+    sequent and leaves no occurrence behind, but no inference is checked
+    while the pass runs: the steps build many nodes that later steps
+    replace, and checking each node as it is built would cost most of an
+    elimination's time.  The caller checks the pass's result once, every
+    inference of it: `eliminate_ref`, `eliminate_tra` and
+    `eliminate_nd_cd` before returning it, and `eliminate_structural`
+    after each of its phases, besides its input and its output.  Every
+    node that reaches a result is checked, in the calculus of the phase
+    that built it; only the nodes thrown away go unchecked.
     """
-    _no_tags(d)
     kind = "/".join(r.value for r in rules)
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
         prem = tuple(go(p) for p in n.premises)
         if any(a is not b for a, b in zip(prem, n.premises)):
-            n = _mk(calc, n.rule, n.conclusion, prem, n.witness)
+            n = LabelledDerivation(n.conclusion, n.rule, prem, n.witness)
         if n.rule not in rules:
             return n
-        new, note = _step(n, calc)
+        new, note = _step(n)
         if new.conclusion != n.conclusion:
             raise TransformError(f"{kind} elimination changed the sequent")
         if _count(new, rules):
@@ -489,23 +508,24 @@ def _count(d: LabelledDerivation, rules) -> int:
     return sum(1 for n in d.nodes() if n.rule in rules)
 
 
-def _step(node: LabelledDerivation, calc: str):
+def _step(node: LabelledDerivation):
     """(proof of node's conclusion without its own ref/tra/nd/cd inference,
     the note for the report or None)."""
     w = node.witness
     P = node.premises[0]
     atom = ADDED_ATOM[node.rule](w)
     if node.rule is Rule.REF:
-        return _ref_step(P, atom, calc), f"ref at {w.label} rewritten"
+        return _ref_step(P, atom), f"ref at {w.label} rewritten"
     if node.rule is Rule.TRA:
-        return (_tra_step(P, atom, w.rel, w.rel2, calc),
+        return (_tra_step(P, atom, w.rel, w.rel2),
                 f"tra {w.rel!r} ; {w.rel2!r} rewritten")
-    return _nd_step(P, atom, w.dom, calc), None
+    return _nd_step(P, atom, w.dom), None
 
 
 def eliminate_ref(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     """Removes every ref inference; input must be tra-free above each ref."""
-    return _eliminate(d, calc, (Rule.REF,))
+    _no_tags(d)
+    return _checked("ref elimination", calc, d, _eliminate(d, (Rule.REF,)))
 
 
 # id, id_q, imp_l and forall_l read their relational atom w<=v; each starred
@@ -514,7 +534,7 @@ def eliminate_ref(d: LabelledDerivation, calc: str) -> LabelledDerivation:
 _STARRED = {r: Rule(f"{r.value}_star") for r in (Rule.ID, Rule.ID_Q, Rule.IMP_L, Rule.FORALL_L)}
 
 
-def _ref_step(P: LabelledDerivation, zz: RelAtom, calc: str) -> LabelledDerivation:
+def _ref_step(P: LabelledDerivation, zz: RelAtom) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of the self-loop zz."""
 
     def read(n: LabelledDerivation, target, drop):
@@ -522,40 +542,36 @@ def _ref_step(P: LabelledDerivation, zz: RelAtom, calc: str) -> LabelledDerivati
         if zz not in (w.rel, w.rel2):
             return None
         if n.rule in _STARRED:
-            return _mk(calc, _STARRED[n.rule], target, tuple(drop(p) for p in n.premises),
-                       Witness(principal=w.principal, formula=w.formula, dom=w.dom))
+            return LabelledDerivation(target, _STARRED[n.rule], tuple(drop(p) for p in n.premises),
+                                      Witness(principal=w.principal, formula=w.formula, dom=w.dom))
         if n.rule is Rule.LIFT:
             # self-lift: the premise duplicates the principal formula
-            return contract_derivation(drop(n.premises[0]), Rule.CTR_FL, w.principal, calc)
+            return _contract_formula(drop(n.premises[0]), w.principal, True)
         if n.rule is Rule.ND or n.rule is Rule.CD:
             # w = v = z: the added atom duplicates the source atom
-            return drop(_contract_atom(n.premises[0], DomAtom(w.dom.a, zz.w), calc))
+            return drop(_contract_atom(n.premises[0], DomAtom(w.dom.a, zz.w)))
         if n.rule is Rule.TRA:
             raise TransformError("ref elimination hit a tra inference above it")
         raise TransformError(f"ref elimination: unhandled active case {n.rule.value}")
 
-    return _drop_atom(P, zz, calc, read)
+    return _drop_atom(P, zz, read)
 
 
 def eliminate_tra(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     """Removes every tra inference; input must be ref-free above each tra."""
-    return _eliminate(d, calc, (Rule.TRA,))
+    _no_tags(d)
+    return _checked("tra elimination", calc, d, _eliminate(d, (Rule.TRA,)))
 
 
-def _tra_step(
-    P: LabelledDerivation,
-    comp: RelAtom,
-    r1: RelAtom,
-    r2: RelAtom,
-    calc: str,
-) -> LabelledDerivation:
+def _tra_step(P: LabelledDerivation, comp: RelAtom, r1: RelAtom,
+              r2: RelAtom) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of the composite w<=u,
     given that w<=v and v<=u remain present."""
     wl, vl, ul = r1.w, r1.v, r2.v
 
     def lift_down(onto: LabelledDerivation, a: Label, b: Label, f: Formula, rel: RelAtom):
         c = onto.conclusion.remove(ante=[(b, f)])
-        return _mk(calc, Rule.LIFT, c, (onto,), Witness(principal=(a, f), rel=rel))
+        return LabelledDerivation(c, Rule.LIFT, (onto,), Witness(principal=(a, f), rel=rel))
 
     def read(n: LabelledDerivation, target, drop):
         w = n.witness
@@ -565,8 +581,8 @@ def _tra_step(
             # id* at the upper label, then lift back down the chain
             (pw, pf) = w.principal
             leaf_c = target.add(ante=[(vl, pf), (ul, pf)])
-            leaf = _mk(calc, Rule.ID_STAR, leaf_c, (),
-                       Witness(principal=(ul, pf), formula=w.formula))
+            leaf = LabelledDerivation(leaf_c, Rule.ID_STAR, (),
+                                      Witness(principal=(ul, pf), formula=w.formula))
             step1 = lift_down(leaf, vl, ul, pf, r2)
             return lift_down(step1, wl, vl, pf, r1)
         if n.rule is Rule.ID_Q:
@@ -576,67 +592,67 @@ def _tra_step(
             leaf_c = target.add(
                 dom=[DomAtom(a, vl) for a in ps], ante=[(vl, pf)]
             )
-            leaf = _mk(calc, Rule.ID_Q, leaf_c, (),
-                       Witness(principal=(vl, pf), formula=w.formula, rel=r2))
+            leaf = LabelledDerivation(leaf_c, Rule.ID_Q, (),
+                                      Witness(principal=(vl, pf), formula=w.formula, rel=r2))
             cur = lift_down(leaf, wl, vl, pf, r1)
             for a in ps:
                 c = cur.conclusion.remove(dom=[DomAtom(a, vl)])
-                cur = _mk(calc, Rule.ND, c, (cur,),
-                          Witness(rel=r1, dom=DomAtom(a, wl)))
+                cur = LabelledDerivation(c, Rule.ND, (cur,),
+                                         Witness(rel=r1, dom=DomAtom(a, wl)))
             return cur
         if n.rule is Rule.IMP_L:
             (pw, pf) = w.principal
             add = dict(ante=[(vl, pf), (ul, pf)])
-            p0 = weaken_derivation(drop(n.premises[0]), calc, **add)
-            p1 = weaken_derivation(drop(n.premises[1]), calc, **add)
+            p0 = _weaken(drop(n.premises[0]), **add)
+            p1 = _weaken(drop(n.premises[1]), **add)
             c_star = target.add(ante=[(vl, pf), (ul, pf)])
-            star = _mk(calc, Rule.IMP_L_STAR, c_star, (p0, p1),
-                       Witness(principal=(ul, pf)))
+            star = LabelledDerivation(c_star, Rule.IMP_L_STAR, (p0, p1),
+                                      Witness(principal=(ul, pf)))
             step1 = lift_down(star, vl, ul, pf, r2)
             return lift_down(step1, wl, vl, pf, r1)
         if n.rule is Rule.FORALL_L:
             (pw, pf) = w.principal
-            p = weaken_derivation(drop(n.premises[0]), calc, ante=[(vl, pf)])
+            p = _weaken(drop(n.premises[0]), ante=[(vl, pf)])
             c_fl = target.add(ante=[(vl, pf)])
-            fl = _mk(calc, Rule.FORALL_L, c_fl, (p,),
-                     Witness(principal=(vl, pf), rel=r2, dom=w.dom))
+            fl = LabelledDerivation(c_fl, Rule.FORALL_L, (p,),
+                                    Witness(principal=(vl, pf), rel=r2, dom=w.dom))
             return lift_down(fl, wl, vl, pf, r1)
         if n.rule is Rule.LIFT:
             (pw, pf) = w.principal
-            p = weaken_derivation(drop(n.premises[0]), calc, ante=[(vl, pf)])
+            p = _weaken(drop(n.premises[0]), ante=[(vl, pf)])
             c1 = p.conclusion.remove(ante=[(ul, pf)])
-            step1 = _mk(calc, Rule.LIFT, c1, (p,), Witness(principal=(vl, pf), rel=r2))
+            step1 = LabelledDerivation(c1, Rule.LIFT, (p,), Witness(principal=(vl, pf), rel=r2))
             return lift_down(step1, wl, vl, pf, r1)
         if n.rule is Rule.ND:
             a = w.dom.a
-            p = weaken_derivation(drop(n.premises[0]), calc, dom=[DomAtom(a, vl)])
+            p = _weaken(drop(n.premises[0]), dom=[DomAtom(a, vl)])
             c1 = p.conclusion.remove(dom=[DomAtom(a, ul)])
-            s1 = _mk(calc, Rule.ND, c1, (p,), Witness(rel=r2, dom=DomAtom(a, vl)))
+            s1 = LabelledDerivation(c1, Rule.ND, (p,), Witness(rel=r2, dom=DomAtom(a, vl)))
             c2 = c1.remove(dom=[DomAtom(a, vl)])
-            return _mk(calc, Rule.ND, c2, (s1,), Witness(rel=r1, dom=DomAtom(a, wl)))
+            return LabelledDerivation(c2, Rule.ND, (s1,), Witness(rel=r1, dom=DomAtom(a, wl)))
         if n.rule is Rule.CD:
             a = w.dom.a
-            p = weaken_derivation(drop(n.premises[0]), calc, dom=[DomAtom(a, vl)])
+            p = _weaken(drop(n.premises[0]), dom=[DomAtom(a, vl)])
             c1 = p.conclusion.remove(dom=[DomAtom(a, wl)])
-            s1 = _mk(calc, Rule.CD, c1, (p,), Witness(rel=r1, dom=DomAtom(a, vl)))
+            s1 = LabelledDerivation(c1, Rule.CD, (p,), Witness(rel=r1, dom=DomAtom(a, vl)))
             c2 = c1.remove(dom=[DomAtom(a, vl)])
-            return _mk(calc, Rule.CD, c2, (s1,), Witness(rel=r2, dom=DomAtom(a, ul)))
+            return LabelledDerivation(c2, Rule.CD, (s1,), Witness(rel=r2, dom=DomAtom(a, ul)))
         raise TransformError(
             f"tra elimination: unhandled active case {n.rule.value}"
         )
 
-    return _drop_atom(P, comp, calc, read)
+    return _drop_atom(P, comp, read)
 
 
 def eliminate_nd_cd(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     """Removes every nd and cd inference; input must be ref/tra-free."""
     if any(n.rule in (Rule.REF, Rule.TRA) for n in d.nodes()):
         raise SequentError("eliminate nd/cd requires a ref/tra-free derivation")
-    return _eliminate(d, calc, (Rule.ND, Rule.CD))
+    _no_tags(d)
+    return _checked("nd/cd elimination", calc, d, _eliminate(d, (Rule.ND, Rule.CD)))
 
 
-def _nd_step(P: LabelledDerivation, removed: DomAtom, src: DomAtom,
-             calc: str) -> LabelledDerivation:
+def _nd_step(P: LabelledDerivation, removed: DomAtom, src: DomAtom) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of `removed`, given that the
     source domain atom and its relational atom remain present."""
 
@@ -646,56 +662,44 @@ def _nd_step(P: LabelledDerivation, removed: DomAtom, src: DomAtom,
             # the atom's parameters must be in the domain of its label
             (pw, pf) = w.principal
             if removed.w == pw and removed.a in pf.args:
-                return _id_star_lift(calc, target, w)
+                return _id_star_lift(target, w)
         if w.dom != removed:
             return None
         if n.rule is Rule.FORALL_L:
             (pw, pf) = w.principal
             inst = substitute_param(pf.body, removed.a, pf.var)
-            p = weaken_derivation(drop(n.premises[0]), calc, ante=[(pw, inst)])
+            p = _weaken(drop(n.premises[0]), ante=[(pw, inst)])
             c1 = p.conclusion.remove(ante=[(w.rel.v, inst)])
-            s1 = _mk(calc, Rule.LIFT, c1, (p,),
-                     Witness(principal=(pw, inst), rel=w.rel))
+            s1 = LabelledDerivation(c1, Rule.LIFT, (p,),
+                                    Witness(principal=(pw, inst), rel=w.rel))
             c2 = c1.remove(ante=[(pw, inst)])
-            return _mk(calc, Rule.FORALL_L_STAR, c2, (s1,),
-                       Witness(principal=w.principal, dom=src))
+            return LabelledDerivation(c2, Rule.FORALL_L_STAR, (s1,),
+                                      Witness(principal=w.principal, dom=src))
         if n.rule in (Rule.FORALL_L_STAR, Rule.EXISTS_R, Rule.EXISTS_R_STAR):
             star = Rule.FORALL_L_STAR if n.rule is Rule.FORALL_L_STAR else Rule.EXISTS_R_STAR
-            return _mk(calc, star, target, (drop(n.premises[0]),),
-                       Witness(principal=w.principal, dom=src))
+            return LabelledDerivation(target, star, (drop(n.premises[0]),),
+                                      Witness(principal=w.principal, dom=src))
         if n.rule in (Rule.ND, Rule.CD):
             raise TransformError("nd/cd elimination hit another nd/cd above it")
         raise TransformError(f"nd/cd elimination: unhandled active case {n.rule.value}")
 
-    return _drop_atom(P, removed, calc, read)
+    return _drop_atom(P, removed, read)
 
 
-def _id_star_lift(calc: str, concl: LabelledSequent, w: Witness) -> LabelledDerivation:
+def _id_star_lift(concl: LabelledSequent, w: Witness) -> LabelledDerivation:
     """concl from the id or id_q witness w (w:P => v:P with w<=v): id* (id_q*
     on an atom with arguments) at v, then a lift of P from w up to v."""
     (wl, pf) = w.principal
     (vl, _) = w.formula
     leaf_rule = Rule.ID_STAR if not pf.args else Rule.ID_Q_STAR
-    leaf = _mk(calc, leaf_rule, concl.add(ante=[(vl, pf)]), (),
-               Witness(principal=(vl, pf), formula=(vl, pf)))
-    return _mk(calc, Rule.LIFT, concl, (leaf,), Witness(principal=w.principal, rel=w.rel))
+    leaf = LabelledDerivation(concl.add(ante=[(vl, pf)]), leaf_rule, (),
+                              Witness(principal=(vl, pf), formula=(vl, pf)))
+    return LabelledDerivation(concl, Rule.LIFT, (leaf,),
+                              Witness(principal=w.principal, rel=w.rel))
 
 
 # ---------------------------------------------------------------------------
 # derived-rule expansion (into the treelike rule set)
-
-def _conv_formula(f: Formula) -> Formula:
-    return convert_signature(f, "toNeg")
-
-
-def _conv_sequent(s: LabelledSequent) -> LabelledSequent:
-    return LabelledSequent(
-        s.rel,
-        s.dom,
-        tuple((w, _conv_formula(f)) for (w, f) in s.ante),
-        tuple((w, _conv_formula(f)) for (w, f) in s.succ),
-    )
-
 
 def expand_derived_rules(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     """Replaces id, id_q, bot_l, imp_l, forall_l, forall_r and exists_r by
@@ -710,63 +714,82 @@ def expand_derived_rules(d: LabelledDerivation, calc: str) -> LabelledDerivation
             raise SequentError(
                 "expand_derived_rules requires structural rules to be eliminated first"
             )
+    return _checked("derived-rule expansion", calc, d, _expand(d))
+
+
+def _conv_formula(f: Formula) -> Formula:
+    return convert_signature(f, "toNeg")
+
+
+def _conv_sequent(s: LabelledSequent, conv=_conv_formula) -> LabelledSequent:
+    return LabelledSequent(
+        s.rel,
+        s.dom,
+        tuple((w, conv(f)) for (w, f) in s.ante),
+        tuple((w, conv(f)) for (w, f) in s.succ),
+    )
+
+
+def _expand(d: LabelledDerivation) -> LabelledDerivation:
+    # a proof repeats its formulas at every node: convert each one once
+    conv = functools.cache(_conv_formula)
 
     def go(n: LabelledDerivation) -> LabelledDerivation:
-        w = _map_witness(n.witness, formula=_conv_formula)
-        concl = _conv_sequent(n.conclusion)
+        w = _map_witness(n.witness, formula=conv)
+        concl = _conv_sequent(n.conclusion, conv)
         prem = tuple(go(p) for p in n.premises)
 
         if n.rule is Rule.BOT_L:
             (wl, _) = w.principal
-            pair = _conv_formula(Bot())
+            pair = conv(Bot())
             p0 = pair.left
             occ_pair = (wl, pair)
             leaf_c = concl.remove(ante=[occ_pair]).add(
                 ante=[(wl, p0), (wl, Neg(p0))], succ=[(wl, p0)]
             )
-            leaf = _mk(calc, Rule.ID_STAR, leaf_c, (),
-                       Witness(principal=(wl, p0), formula=(wl, p0)))
+            leaf = LabelledDerivation(leaf_c, Rule.ID_STAR, (),
+                                      Witness(principal=(wl, p0), formula=(wl, p0)))
             c_neg = leaf_c.remove(succ=[(wl, p0)])
-            negl = _mk(calc, Rule.NEG_L, c_neg, (leaf,),
-                       Witness(principal=(wl, Neg(p0))))
-            return _mk(calc, Rule.AND_L, concl, (negl,),
-                       Witness(principal=occ_pair))
+            negl = LabelledDerivation(c_neg, Rule.NEG_L, (leaf,),
+                                      Witness(principal=(wl, Neg(p0))))
+            return LabelledDerivation(concl, Rule.AND_L, (negl,),
+                                      Witness(principal=occ_pair))
         if n.rule in (Rule.ID, Rule.ID_Q):
-            return _id_star_lift(calc, concl, w)
+            return _id_star_lift(concl, w)
         if n.rule is Rule.IMP_L:
             (wl, pf) = w.principal
             vl = w.rel.v
             occ_v = (vl, pf)
-            p0 = weaken_derivation(prem[0], calc, ante=[occ_v])
-            p1 = weaken_derivation(prem[1], calc, ante=[occ_v])
+            p0 = _weaken(prem[0], ante=[occ_v])
+            p1 = _weaken(prem[1], ante=[occ_v])
             c_star = concl.add(ante=[occ_v])
-            star = _mk(calc, Rule.IMP_L_STAR, c_star, (p0, p1),
-                       Witness(principal=occ_v))
-            return _mk(calc, Rule.LIFT, concl, (star,),
-                       Witness(principal=w.principal, rel=w.rel))
+            star = LabelledDerivation(c_star, Rule.IMP_L_STAR, (p0, p1),
+                                      Witness(principal=occ_v))
+            return LabelledDerivation(concl, Rule.LIFT, (star,),
+                                      Witness(principal=w.principal, rel=w.rel))
         if n.rule is Rule.FORALL_L:
             (wl, pf) = w.principal
             vl = w.rel.v
             inst = substitute_param(pf.body, w.dom.a, pf.var)
-            p = weaken_derivation(prem[0], calc, ante=[(wl, inst)])
+            p = _weaken(prem[0], ante=[(wl, inst)])
             c1 = p.conclusion.remove(ante=[(vl, inst)])
-            s1 = _mk(calc, Rule.LIFT, c1, (p,),
-                     Witness(principal=(wl, inst), rel=w.rel))
-            return _mk(calc, Rule.FORALL_L_STAR, concl, (s1,),
-                       Witness(principal=w.principal, dom=w.dom))
+            s1 = LabelledDerivation(c1, Rule.LIFT, (p,),
+                                    Witness(principal=(wl, inst), rel=w.rel))
+            return LabelledDerivation(concl, Rule.FORALL_L_STAR, (s1,),
+                                      Witness(principal=w.principal, dom=w.dom))
         if n.rule is Rule.FORALL_R:
             # the eigenlabel is fresh, so collapsing it onto the principal
             # label leaves the context untouched
             (wl, pf) = w.principal
             vl, a = w.label, w.param
-            p = substitute_derivation(prem[0], "label", wl, vl, calc)
-            p = _ref_step(p, RelAtom(wl, wl), calc)
-            return _mk(calc, Rule.FORALL_R_STAR, concl, (p,),
-                       Witness(principal=w.principal, param=a))
+            p = _substitute(prem[0], "label", wl, vl)
+            p = _ref_step(p, RelAtom(wl, wl))
+            return LabelledDerivation(concl, Rule.FORALL_R_STAR, (p,),
+                                      Witness(principal=w.principal, param=a))
         if n.rule is Rule.EXISTS_R:
-            return _mk(calc, Rule.EXISTS_R_STAR, concl, prem,
-                       Witness(principal=w.principal, dom=w.dom))
-        return _mk(calc, n.rule, concl, prem, w)
+            return LabelledDerivation(concl, Rule.EXISTS_R_STAR, prem,
+                                      Witness(principal=w.principal, dom=w.dom))
+        return LabelledDerivation(concl, n.rule, prem, w)
 
     return go(d)
 
@@ -817,12 +840,14 @@ def eliminate_structural(
 
     steps = report.steps
     # ref and tra interleave, so always rewrite the topmost of either
-    d = _eliminate(d, ambient, (Rule.REF, Rule.TRA), steps)
+    d = _checked("ref/tra elimination", ambient, d,
+                 _eliminate(d, (Rule.REF, Rule.TRA), steps))
     n_ndcd = _count(d, (Rule.ND, Rule.CD))
     if n_ndcd:
-        d = _eliminate(d, ambient, (Rule.ND, Rule.CD))
+        d = _checked("nd/cd elimination", ambient, d, _eliminate(d, (Rule.ND, Rule.CD)))
         steps.append(f"nd/cd eliminated ({n_ndcd} inference(s))")
-    d = expand_derived_rules(d, target)
+    # the output check below is the expansion's check
+    d = _expand(d)
     steps.append("derived rules expanded; signature converted to {~,&,|,->}")
 
     ok, where, msg = check_derivation(target, d)

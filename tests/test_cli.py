@@ -126,6 +126,7 @@ def test_exit_code_matrix(tmp_path, capsys):
     model = tmp_path / "m.txt"
     model.write_text("worlds: w\n")
     node = {"sequent": " => w: p -> p", "rule": "imp_r", "witness": {}, "premises": []}
+    nnode = {**node, "sequent": " -> p -> p", "hole": []}
     malformed = []
     for i, doc in enumerate([
         [1, 2],
@@ -133,6 +134,15 @@ def test_exit_code_matrix(tmp_path, capsys):
         {"kind": "labelled", "proof": {**node, "premises": [5]}},
         {"kind": "labelled", "calculus": ["g3int"], "proof": node},
         {"kind": "nested", "proof": {**node, "sequent": " -> p -> p", "hole": "0"}},
+        # an unparsable formula below the root, in a sequent and in a witness
+        {"kind": "labelled", "calculus": "g3int",
+         "proof": {**node, "premises": [{**node, "sequent": " => w: p -> ("}]}},
+        {"kind": "labelled", "calculus": "g3int",
+         "proof": {**node, "premises": [{**node, "witness": {"principal": "w: p &&& q"}}]}},
+        {"kind": "nested", "calculus": "nint-star",
+         "proof": {**nnode, "premises": [{**nnode, "sequent": " -> p -> ("}]}},
+        {"kind": "nested", "calculus": "nint-star",
+         "proof": {**nnode, "premises": [{**nnode, "witness": {"formula": "p &&& q"}}]}},
     ]):
         malformed.append(tmp_path / f"malformed{i}.json")
         malformed[-1].write_text(json.dumps(doc))

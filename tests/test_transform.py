@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 
 import pytest
@@ -16,9 +18,11 @@ from intcalc.labelled import (
     check_derivation,
     parse_sequent,
 )
+from intcalc import proofio, transform
 from intcalc.proofio import dump_proof, load_proof
 from intcalc.search import SearchConfig, prove
 from intcalc.transform import (
+    TransformError,
     contract_derivation,
     eliminate_nd_cd,
     eliminate_ref,
@@ -274,6 +278,93 @@ def test_contract_principal_of_each_consuming_rule(rule, calc, end):
         assert d2.height() <= d1.height()
 
 
+# -- the public transforms, pinned ---------------------------------------------
+
+@functools.cache
+def _pin_proof(name):
+    """The searched proofs the pinned transforms rewrite."""
+    if name == "chain":
+        goal = LabelledSequent(succ=((w, convert_signature(chain_forward(3), "toBot")),))
+        return prove(goal, SearchConfig("g3int", 16))
+    text, calc = {"or": ("(p -> q) | (q -> q)", "g3int"),
+                  "and": ("(p & q) -> (q & p)", "g3int"),
+                  "forall": ("forall x. r(x) -> r(x)", "g3intqc"),
+                  "exists": ("(exists x. r(x)) -> exists y. r(y)", "g3intqc")}[name]
+    return prove_g3(text, calc=calc)
+
+
+def _invert_root(name, calc):
+    d = _pin_proof(name)
+    return invert_derivation(d, Rule.IMP_R, Witness(principal=d.conclusion.succ[0],
+                                                    label=Label("x")), calc)
+
+
+def _dup_end(name, calc):
+    d = _pin_proof(name)
+    end = d.conclusion.succ[0]
+    return contract_derivation(weaken_derivation(d, calc, succ=[end]), Rule.CTR_FR, end, calc)
+
+
+x, v0, v1, a0 = Label("x"), Label("v0"), Label("v1"), Param("a0")
+f_and, f_or = parse_formula("p & q"), parse_formula("(p -> q) | (q -> q)")
+f_ex = parse_formula("exists x. r(x)")
+
+# each transform on the proofs above; v0, v1 and a0 are eigenvariables of
+# them, so the weakenings and substitutions rename one
+PINNED_TRANSFORMS = {
+    "weaken chain": lambda: weaken_derivation(_pin_proof("chain"), "g3int",
+                                              rel=[RelAtom(w, v0)], ante=[(v0, p)]),
+    "substitute chain": lambda: substitute_derivation(_pin_proof("chain"), "label", w, v1,
+                                                      "g3int"),
+    "invert chain imp_r": lambda: _invert_root("chain", "g3int"),
+    "invert or_r": lambda: invert_derivation(_pin_proof("or"), Rule.OR_R,
+                                             Witness(principal=(w, f_or)), "g3int"),
+    "invert and_l": lambda: invert_derivation(_invert_root("and", "g3int"), Rule.AND_L,
+                                              Witness(principal=(x, f_and)), "g3int"),
+    "contract chain": lambda: _dup_end("chain", "g3int"),
+    "contract rel": lambda: contract_derivation(
+        weaken_derivation(_pin_proof("chain"), "g3int", rel=[RelAtom(u, u)] * 2),
+        Rule.CTR_R, RelAtom(u, u), "g3int"),
+    "contract and_l": lambda: contract_derivation(
+        weaken_derivation(_invert_root("and", "g3int"), "g3int", ante=[(x, f_and)]),
+        Rule.CTR_FL, (x, f_and), "g3int"),
+    "weaken forall": lambda: weaken_derivation(_pin_proof("forall"), "g3intqc",
+                                               dom=[DomAtom(a0, w)]),
+    "substitute exists": lambda: substitute_derivation(_pin_proof("exists"), "param",
+                                                       Param("b"), a0, "g3intqc"),
+    "invert exists_l": lambda: invert_derivation(_invert_root("exists", "g3intqc"),
+                                                 Rule.EXISTS_L,
+                                                 Witness(principal=(x, f_ex), param=Param("c")),
+                                                 "g3intqc"),
+    "contract forall": lambda: _dup_end("forall", "g3intqc"),
+    "contract exists": lambda: _dup_end("exists", "g3intqc"),
+}
+
+# (nodes, height, rule digest) of each: a change in what a rewrite builds,
+# or in the fresh names it takes, shows up here
+TRANSFORM_SHAPES = {
+    'weaken chain': (22, 19, 'bc24a031672a'),
+    'substitute chain': (22, 19, '877e9e399c99'),
+    'invert chain imp_r': (21, 18, 'ad7e44279a54'),
+    'invert or_r': (6, 6, '7daadf0b14c3'),
+    'invert and_l': (5, 4, '648c4e142391'),
+    'contract chain': (22, 19, '13b1d3e10074'),
+    'contract rel': (22, 19, '13b1d3e10074'),
+    'contract and_l': (6, 5, 'da3efb14a06b'),
+    'weaken forall': (9, 9, '4fcdb4963e87'),
+    'substitute exists': (7, 7, '5edb5ca10bad'),
+    'invert exists_l': (5, 5, 'e3057f0a0952'),
+    'contract forall': (9, 9, '9ba1ad347a65'),
+    'contract exists': (7, 7, '15dc3e84bab2'),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TRANSFORMS))
+def test_public_transform_output_is_pinned(name):
+    out = PINNED_TRANSFORMS[name]()
+    assert (sum(1 for _ in out.nodes()), out.height(), _rule_digest(out)) == TRANSFORM_SHAPES[name]
+
+
 # -- eliminations -------------------------------------------------------------
 
 def test_eliminate_ref_section4():
@@ -293,17 +384,22 @@ def test_eliminate_ref_no_op():
         assert d1 is d or d1.conclusion == d.conclusion
 
 
-def test_eliminate_tra_above_id():
-    # tra with the composite atom principal in id: id* plus two lifts
+def _tra_above_id():
+    # tra with the composite atom principal in id
     leaf = LabelledDerivation(
         parse_sequent("w<=v, v<=u, w<=u, w: p => u: p"),
         Rule.ID, (),
         Witness(principal=(w, p), formula=(u, p), rel=RelAtom(w, u)),
     )
-    tra = LabelledDerivation(
+    return LabelledDerivation(
         parse_sequent("w<=v, v<=u, w: p => u: p"), Rule.TRA, (leaf,),
         Witness(rel=RelAtom(w, v), rel2=RelAtom(v, u)),
     )
+
+
+def test_eliminate_tra_above_id():
+    # id* plus two lifts
+    tra = _tra_above_id()
     d2 = eliminate_tra(tra, "g3int-ext")
     assert all(n.rule is not Rule.TRA for n in d2.nodes())
     assert d2.conclusion == tra.conclusion
@@ -312,7 +408,7 @@ def test_eliminate_tra_above_id():
     assert rules.count(Rule.LIFT) == 2 and Rule.ID_STAR in rules
 
 
-def test_eliminate_nd_under_id_q():
+def _nd_under_id_q():
     # nd below an id_q whose required domain atom is the moved one
     leaf = LabelledDerivation(
         parse_sequent("u<=w, w<=v, a in D(u), a in D(w), w: p(#a) => v: p(#a)"),
@@ -320,11 +416,15 @@ def test_eliminate_nd_under_id_q():
         Witness(principal=(w, Atom("p", (Param("a"),))),
                 formula=(v, Atom("p", (Param("a"),))), rel=RelAtom(w, v)),
     )
-    nd = LabelledDerivation(
+    return LabelledDerivation(
         parse_sequent("u<=w, w<=v, a in D(u), w: p(#a) => v: p(#a)"),
         Rule.ND, (leaf,),
         Witness(rel=RelAtom(u, w), dom=DomAtom(Param("a"), u)),
     )
+
+
+def test_eliminate_nd_under_id_q():
+    nd = _nd_under_id_q()
     assert check_derivation("g3intqc", nd)[0]
     d2 = eliminate_nd_cd(nd, "intqcl")
     assert all(n.rule not in (Rule.ND, Rule.CD) for n in d2.nodes())
@@ -402,6 +502,82 @@ def test_elimination_output_is_pinned(name):
     assert got == ELIMINATION_SHAPES[name]
 
 
+# -- a broken rewrite is caught ------------------------------------------------
+
+def _broken(body):
+    """body, with the last inference of each result it returns stripped of
+    its witness: the result keeps its end sequent and its rules, and that
+    one inference fails to check."""
+    def wrapped(*args, **kwargs):
+        return dataclasses.replace(body(*args, **kwargs), witness=Witness())
+    return wrapped
+
+
+@pytest.mark.parametrize("body, proof, phase", [
+    ("_ref_step", "chain", "ref/tra elimination produced a bad inference at"),
+    ("_tra_step", "chain", "ref/tra elimination produced a bad inference at"),
+    ("_nd_step", "forall", "nd/cd elimination produced a bad inference at"),
+    ("_expand", "chain", "output fails in g3int-tree at"),
+])
+def test_broken_elimination_step_is_caught(monkeypatch, body, proof, phase):
+    # the steps build their nodes unchecked; the check after each phase
+    # finds the bad one
+    d = _pin_proof(proof)
+    monkeypatch.setattr(transform, body, _broken(getattr(transform, body)))
+    with pytest.raises(TransformError, match=phase):
+        eliminate_structural(d, "g3int" if proof == "chain" else "g3intqc")
+
+
+def _imp_l_ref_free():
+    d = prove(parse_sequent("w<=v, w: p -> q, v: p => v: q"), SearchConfig("g3int", 6))
+    return eliminate_ref(d, "g3int-ext")
+
+
+# each public transform, and the private body it checks the result of
+BROKEN_PUBLIC = {
+    "_weaken": lambda: weaken_derivation(section4_proof(), "g3int", succ=[(u, q)]),
+    "_substitute": lambda: substitute_derivation(section4_proof(), "label", w, v, "g3int"),
+    "_inverted": lambda: invert_derivation(
+        prove_g3("p -> p"), Rule.IMP_R,
+        Witness(principal=(w, parse_formula("p -> p")), label=Label("x0")), "g3int"),
+    "_contract_formula": lambda: contract_derivation(
+        weaken_derivation(section4_proof(), "g3int", succ=[(w, parse_formula("p -> p"))]),
+        Rule.CTR_FR, (w, parse_formula("p -> p")), "g3int"),
+    "_ref_step": lambda: eliminate_ref(section4_proof(), "g3int-ext"),
+    "_tra_step": lambda: eliminate_tra(_tra_above_id(), "g3int-ext"),
+    "_nd_step": lambda: eliminate_nd_cd(_nd_under_id_q(), "intqcl"),
+    "_expand": lambda: expand_derived_rules(_imp_l_ref_free(), "g3int-tree"),
+}
+
+
+@pytest.mark.parametrize("body", list(BROKEN_PUBLIC))
+def test_broken_public_transform_is_caught(monkeypatch, body):
+    call = BROKEN_PUBLIC[body]
+    call()  # unbroken, the transform succeeds
+    monkeypatch.setattr(transform, body, _broken(getattr(transform, body)))
+    with pytest.raises(TransformError, match=r"produced a bad inference at \("):
+        call()
+
+
+def test_each_result_is_checked_once(monkeypatch):
+    # eliminate_structural checks its input, the result of each phase and
+    # its output; the weakenings and substitutions inside the steps are not
+    # checked on their own
+    calls = []
+    real = transform.check_derivation
+
+    def counting(calc, d):
+        calls.append(calc)
+        return real(calc, d)
+
+    monkeypatch.setattr(transform, "check_derivation", counting)
+    eliminate_structural(_pin_proof("forall"), "g3intqc")
+    assert calls == ["intqcl", "intqcl", "intqcl", "intqcl-tree"]
+    calls.clear()
+    eliminate_structural(_pin_proof("chain"), "g3int")
+    assert calls == ["g3int-ext", "g3int-ext", "g3int-tree"]
+
+
 # -- derived-rule expansion ---------------------------------------------------
 
 def test_expand_bot_l():
@@ -469,6 +645,43 @@ def test_nested_proof_with_quantified_antecedent_roundtrips():
     nd = proof_to_nested(out)
     back, _kind, calc = load_proof(dump_proof(nd, "nintqc-star"))
     assert calc == "nintqc-star" and back == nd
+
+
+def test_proof_files_round_trip():
+    # the searched proofs of the acceptance corpora, and their eliminated
+    # and nested forms
+    inputs = ([("g3int", d) for _, d in prop_proofs()]
+              + [("g3intqc", d) for _, d in fo_proofs()])
+    for calc, d in inputs:
+        assert load_proof(dump_proof(d, calc)) == (d, "labelled", calc)
+        out, _ = eliminate_structural(d, calc)
+        tree = "g3int-tree" if calc == "g3int" else "intqcl-tree"
+        assert load_proof(dump_proof(out, tree)) == (out, "labelled", tree)
+        nd = proof_to_nested(out)
+        ncalc = "nint-star" if calc == "g3int" else "nintqc-star"
+        assert load_proof(dump_proof(nd, ncalc)) == (nd, "nested", ncalc)
+
+
+def test_load_proof_parses_each_formula_once_per_call(monkeypatch):
+    texts = []
+    real = proofio.parse_formula
+
+    def counting(text):
+        texts.append(text)
+        return real(text)
+
+    monkeypatch.setattr(proofio, "parse_formula", counting)
+    d = _pin_proof("chain")
+    out, _ = eliminate_structural(d, "g3int")
+    for proof, calc in ((d, "g3int"), (proof_to_nested(out), "nint-star")):
+        file = dump_proof(proof, calc)
+        texts.clear()
+        assert load_proof(file)[0] == proof
+        assert texts and len(texts) == len(set(texts))
+        # nothing is kept from one call to the next
+        first = len(texts)
+        load_proof(file)
+        assert len(texts) == 2 * first
 
 
 @pytest.mark.parametrize("calc, searched_in, out_calc", [
