@@ -28,13 +28,12 @@ from .labelled import (
     Label,
     LabelledSequent,
     SequentError,
-    check_derivation,
     parse_sequent,
     show_sequent,
 )
-from .nested import NESTED_CALCULI, check_nested_derivation, parse_nested, show_nested
+from .nested import NESTED_CALCULI, parse_nested, show_nested
 from .proofio import dump_proof, load_proof
-from .search import SearchConfig, find_countermodel, prove
+from .search import SearchConfig, check_proof, find_countermodel, prove
 from .transform import TransformError, eliminate_structural, proof_to_nested
 
 OK, NEGATIVE, INPUT_ERROR, INTERNAL = 0, 1, 2, 3
@@ -91,6 +90,11 @@ def cmd_prove(args) -> int:
     if d is None:
         print(f"not proved within depth {args.depth} (not a refutation)")
         return NEGATIVE
+    ok, where, msg = check_proof(args.calc, d)
+    if not ok:
+        print(f"internal invariant breach: the proof found fails to check at node "
+              f"{list(where)}: {msg}", file=sys.stderr)
+        return INTERNAL
     _write(args.output, dump_proof(d, args.calc))
     if args.output not in (None, "-"):
         print(f"proof written to {args.output}")
@@ -100,10 +104,7 @@ def cmd_prove(args) -> int:
 def cmd_check(args) -> int:
     d, kind, calc_in_file = load_proof(_read(args.proof))
     calc = args.calc or calc_in_file
-    if kind == "labelled":
-        ok, where, msg = check_derivation(calc, d)
-    else:
-        ok, where, msg = check_nested_derivation(calc, d)
+    ok, where, msg = check_proof(calc, d)
     if ok:
         print(f"proof checks in {calc}: {show_sequent(d.conclusion) if kind == 'labelled' else show_nested(d.conclusion)}")
         return OK

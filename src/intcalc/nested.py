@@ -24,6 +24,16 @@ labelled rule (`RULE_TO_NESTED`) and reads that rule's row of the table in
 the hole, in a new bracket or in a child; Fitting's calculi use the same
 rows with every rule consuming its principal.
 
+nint and nintqc as written are incomplete: they do not prove the theorem
+``~~(p | ~p)``.  Backwards, neg_r gives ``-> [~(p | ~p) ->]``.  The only
+step there is neg_l, which consumes ``~(p | ~p)``; after or_r, the world
+that neg_r then creates for ``~p`` holds ``p`` and has nothing to close
+with.  Whether Fitting's published rules (NDJFL 2014) keep a copy of the
+principal cannot be settled without that text, so the rows stay as they
+are.  Their search is sound: `search.prove` searches them with the same
+loop as every other calculus, and each proof it returns is built from
+these rows and checks.
+
 Text format: ``p(#a) -> p(#b), [false -> forall x. q(x,#b)]``.  The sequent
 arrow is the first top-level ``->``; implications and quantified formulas
 inside the antecedent list must be parenthesised.

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+import intcalc.cli
 from intcalc.cli import run
+from intcalc.labelled import parse_sequent
 
 
 def test_parse_roundtrip(capsys):
@@ -30,6 +33,21 @@ def test_prove_negative_exit(capsys):
                 "((p -> q) -> p) -> p"])
     assert code == 1
     assert "not proved" in capsys.readouterr().out
+
+
+def test_prove_checks_its_proof(tmp_path, monkeypatch, capsys):
+    # a proof that fails to check is an invariant breach, and is not written
+    real_prove = intcalc.cli.prove
+
+    def broken_prove(goal, cfg):
+        d = real_prove(goal, cfg)
+        return dataclasses.replace(d, conclusion=parse_sequent(" => w: q -> q"))
+
+    monkeypatch.setattr(intcalc.cli, "prove", broken_prove)
+    out = tmp_path / "proof.json"
+    assert run(["prove", "--calc", "g3int", "p -> p", "-o", str(out)]) == 3
+    assert "fails to check" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_broken_eigenvariable(tmp_path, capsys):
