@@ -7,14 +7,19 @@ there.  Nested-sequent graphs use prefix strings ("0", "00", "01", ...) as
 vertices.  A treelike labelled sequent (unique root, unique directed path to
 every vertex) translates to the nested sequent with the isomorphic graph;
 domain atoms are dropped in translation.
+
+Whether a labelled sequent is treelike, and its root, are read off its
+labels and relational atoms alone (`is_treelike`, `tree_root`); the
+formulas at each vertex are looked at only by `graph_of_labelled`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Collection
 from dataclasses import dataclass
 
-from .formula import Formula, fkey
+from .formula import Formula, cached, fkey
 from .labelled import (
     Label,
     LabelledSequent,
@@ -41,14 +46,21 @@ class SequentGraph:
                 raise SequentError(f"vertex {v} has no labelling entry")
 
 
+def _skeleton(s: LabelledSequent) -> tuple[set[str], set[tuple[str, str]]]:
+    """The vertices and edges of the graph of s."""
+    return {l.name for l in s.labels()}, {(r.w.name, r.v.name) for r in s.rel}
+
+
 def graph_of_labelled(s: LabelledSequent) -> SequentGraph:
-    verts = {l.name for l in s.labels()}
-    edges = {(r.w.name, r.v.name) for r in s.rel}
-    lab: dict[str, tuple[tuple[Formula, ...], tuple[Formula, ...]]] = {}
-    for v in verts:
-        ante = tuple(sorted((f for (w, f) in s.ante if w.name == v), key=fkey))
-        succ = tuple(sorted((f for (w, f) in s.succ if w.name == v), key=fkey))
-        lab[v] = (ante, succ)
+    verts, edges = _skeleton(s)
+    ante: dict[str, list[Formula]] = {v: [] for v in verts}
+    succ: dict[str, list[Formula]] = {v: [] for v in verts}
+    for (w, f) in s.ante:
+        ante[w.name].append(f)
+    for (w, f) in s.succ:
+        succ[w.name].append(f)
+    lab = {v: (tuple(sorted(ante[v], key=fkey)), tuple(sorted(succ[v], key=fkey)))
+           for v in verts}
     return SequentGraph(frozenset(verts), frozenset(edges), lab)
 
 
@@ -75,70 +87,74 @@ class TreelikeViolation:
     detail: str
 
 
-def treelike_violation(g: SequentGraph) -> TreelikeViolation | None:
-    verts = sorted(g.vertices)
-    if not verts:
-        return None
-    for (a, b) in sorted(g.edges):
-        if a == b:
-            return TreelikeViolation("cycle", f"self-loop at {a}")
-    indeg = {v: 0 for v in verts}
-    for (_, b) in g.edges:
-        indeg[b] += 1
-    branched = [v for v in verts if indeg[v] > 1]
+def _treelike(
+    vertices: Collection[str], edges: Collection[tuple[str, str]]
+) -> tuple[TreelikeViolation | None, str | None]:
+    """The first violation of the graph with these vertices and edges, or
+    None and its root (None when it has no vertices)."""
+    if not vertices:
+        return None, None
+    loops = [a for (a, b) in edges if a == b]
+    if loops:
+        return TreelikeViolation("cycle", f"self-loop at {min(loops)}"), None
+    parents: dict[str, list[str]] = {}
+    children: dict[str, list[str]] = {}
+    for (a, b) in edges:
+        parents.setdefault(b, []).append(a)
+        children.setdefault(a, []).append(b)
+    branched = [v for v, ps in parents.items() if len(ps) > 1]
     if branched:
-        v = branched[0]
-        srcs = sorted(a for (a, b) in g.edges if b == v)
+        v = min(branched)
         return TreelikeViolation(
-            "backwards-branching", f"{' and '.join(srcs)} both reach {v}"
-        )
-    roots = [v for v in verts if indeg[v] == 0]
+            "backwards-branching", f"{' and '.join(sorted(parents[v]))} both reach {v}"
+        ), None
+    roots = sorted(v for v in vertices if v not in parents)
     if not roots:
-        return TreelikeViolation("cycle", "every vertex has an incoming edge")
+        return TreelikeViolation("cycle", "every vertex has an incoming edge"), None
     if len(roots) > 1:
         # distinguish plain disconnection from genuine multi-rootedness
         return TreelikeViolation(
-            "disconnected", f"no path joins roots {', '.join(sorted(roots))}"
-        )
+            "disconnected", f"no path joins roots {', '.join(roots)}"
+        ), None
     root = roots[0]
-    # in-degree <= 1 everywhere: follow edges from the root
+    # every other vertex has one parent: follow edges from the root
     reach = {root}
     frontier = [root]
     while frontier:
-        nxt = []
-        for x in frontier:
-            for (a, b) in g.edges:
-                if a == x and b not in reach:
-                    reach.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    missing = sorted(set(verts) - reach)
-    if missing:
-        # unreached vertices with in-degree 1 sit on a directed cycle
-        cyc = [v for v in missing if indeg[v] >= 1]
-        if cyc and all(indeg[v] >= 1 for v in missing):
-            return TreelikeViolation("cycle", f"cycle through {cyc[0]}")
-        return TreelikeViolation("disconnected", f"{missing[0]} unreachable from {root}")
-    return None
+        for b in children.get(frontier.pop(), ()):
+            if b not in reach:
+                reach.add(b)
+                frontier.append(b)
+    if len(reach) < len(vertices):
+        # an unreached vertex has one parent, and following parents from it
+        # never reaches the root, so it sits on or below a directed cycle
+        return TreelikeViolation("cycle", f"cycle through {min(set(vertices) - reach)}"), None
+    return None, root
+
+
+def treelike_violation(g: SequentGraph) -> TreelikeViolation | None:
+    return _treelike(g.vertices, g.edges)[0]
+
+
+@cached
+def _shape(s: LabelledSequent) -> tuple[TreelikeViolation | None, str | None]:
+    """The violation of s's graph, or None and its root.  Kept on s: the
+    pipeline asks it of each output sequent in elimination's treelike walk
+    and again in the nested translation."""
+    return _treelike(*_skeleton(s))
 
 
 def is_treelike(s: LabelledSequent) -> tuple[bool, TreelikeViolation | None]:
     """Unique root with a unique directed path to every other vertex."""
-    v = treelike_violation(graph_of_labelled(s))
+    v = _shape(s)[0]
     return (v is None), v
 
 
 def tree_root(s: LabelledSequent) -> Label | None:
     """The root of a treelike sequent; None if it has no labels or is not
     treelike."""
-    g = graph_of_labelled(s)
-    if treelike_violation(g) is not None:
-        return None
-    indeg = {v: 0 for v in g.vertices}
-    for (_, b) in g.edges:
-        indeg[b] += 1
-    roots = [v for v in g.vertices if indeg[v] == 0]
-    return Label(roots[0]) if roots else None
+    root = _shape(s)[1]
+    return None if root is None else Label(root)
 
 
 def isomorphic(g0: SequentGraph, g1: SequentGraph) -> dict[str, str] | None:
@@ -226,30 +242,19 @@ def nestify_with_paths(
 ) -> tuple[NestedSequent, dict[Label, tuple[int, ...]]]:
     """nestify plus the context path of each surviving label."""
     g = graph_of_labelled(s)
-    isolated_dom_only = {
-        v
-        for v in g.vertices
-        if g.labelling[v] == ((), ())
-        and not any(v in e for e in g.edges)
-        and any(d.w.name == v for d in s.dom)
-    }
-    verts = g.vertices - isolated_dom_only
+    ends = {v for e in g.edges for v in e}
+    # no formulas and no edges: the label occurs only in domain atoms
+    verts = {v for v in g.vertices if g.labelling[v] != ((), ()) or v in ends}
     if not verts:
         return NestedSequent(), {}
-    g2 = SequentGraph(
-        frozenset(verts),
-        g.edges,
-        {v: g.labelling[v] for v in verts},
-    )
-    bad = treelike_violation(g2)
+    # with no label dropped the graph is s's own, whose shape s may hold
+    bad, root = _shape(s) if len(verts) == len(g.vertices) else _treelike(verts, g.edges)
     if bad is not None:
         full = treelike_violation(g)
         raise SequentError(f"sequent is not treelike: {(full or bad).kind}: {(full or bad).detail}")
-    indeg = {v: 0 for v in verts}
-    for (_, b) in g2.edges:
-        indeg[b] += 1
-    root = [v for v in verts if indeg[v] == 0][0]
-    children = {v: sorted(b for (a, b) in g2.edges if a == v) for v in verts}
+    children: dict[str, list[str]] = {v: [] for v in verts}
+    for (a, b) in sorted(g.edges):
+        children[a].append(b)
     paths: dict[Label, tuple[int, ...]] = {}
 
     # children are stored canonically sorted, so read each child's index off
@@ -258,7 +263,7 @@ def nestify_with_paths(
     built: dict[str, NestedSequent] = {}
 
     def build(v: str) -> NestedSequent:
-        ante, succ = g2.labelling[v]
+        ante, succ = g.labelling[v]
         built[v] = NestedSequent(ante, succ, tuple(build(b) for b in children[v]))
         return built[v]
 

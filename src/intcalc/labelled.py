@@ -232,6 +232,31 @@ def show_sequent(s: LabelledSequent) -> str:
     return f"{', '.join(left)} => {', '.join(right)}".strip()
 
 
+def _depth(t: str) -> int:
+    """The count of opening less closing brackets, `()` and `[]`, in t."""
+    return t.count("(") + t.count("[") - t.count(")") - t.count("]")
+
+
+def _split_top(t: str) -> list[str]:
+    """The parts of t between the commas outside all brackets, stripped,
+    with empty parts dropped.
+
+    t is cut at every comma, and the pieces are joined again while the
+    brackets they hold are unbalanced: the depth at a comma is the depth of
+    the text before it, summed piece by piece.  Unbalanced text leaves its
+    rest as the last part, for the formula reader to reject."""
+    parts, cur, depth = [], [], 0
+    for piece in t.split(","):
+        cur.append(piece)
+        depth += _depth(piece)
+        if not depth:
+            parts.append(",".join(cur))
+            cur = []
+    if cur:
+        parts.append(",".join(cur))
+    return [p for p in map(str.strip, parts) if p]
+
+
 def parse_sequent(text: str) -> LabelledSequent:
     return _read_sequent(text, parse_formula)
 
@@ -246,26 +271,14 @@ def _read_sequent(text: str, formula) -> LabelledSequent:
     ante: list[LabelledFormula] = []
     succ: list[LabelledFormula] = []
 
-    def split_top(t: str) -> list[str]:
-        parts, depth, cur = [], 0, []
-        for c in t:
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-            if c == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                cur.append(c)
-        if cur and "".join(cur).strip():
-            parts.append("".join(cur))
-        return [p.strip() for p in parts if p.strip()]
-
-    for part in split_top(left):
-        if "<=" in part:
-            a, b = (x.strip() for x in part.split("<=", 1))
-            rel.append(RelAtom(Label(a), Label(b)))
+    for part in _split_top(left):
+        # a formula can hold ' in ' (an atom named in); no atom holds ':'
+        if ":" in part:
+            w, f = part.split(":", 1)
+            ante.append((Label(w.strip()), formula(f)))
+        elif "<=" in part:
+            a, b = part.split("<=", 1)
+            rel.append(RelAtom(Label(a.strip()), Label(b.strip())))
         elif " in " in part:
             a, d = part.split(" in ", 1)
             d = d.strip()
@@ -275,12 +288,9 @@ def _read_sequent(text: str, formula) -> LabelledSequent:
             if name.startswith("#"):
                 name = name[1:]
             dom.append(DomAtom(Param(name), Label(d[2:-1].strip())))
-        elif ":" in part:
-            w, f = part.split(":", 1)
-            ante.append((Label(w.strip()), formula(f)))
         else:
             raise SequentError(f"cannot read sequent part {part!r}")
-    for part in split_top(right):
+    for part in _split_top(right):
         if ":" not in part:
             raise SequentError(f"cannot read sequent part {part!r}")
         w, f = part.split(":", 1)
@@ -597,9 +607,13 @@ class LabelledDerivation:
         return 1 + max((p.height() for p in self.premises), default=0)
 
     def nodes(self) -> Iterator["LabelledDerivation"]:
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
+        """Every node, in pre-order, walked with a stack: a nested
+        generator would pass each node up through all its ancestors."""
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            yield n
+            stack.extend(reversed(n.premises))
 
     def rule_counts(self) -> dict[Rule, int]:
         out: dict[Rule, int] = {}
@@ -958,11 +972,13 @@ def _candidate_witnesses(
                     if d.w == at:
                         yield Witness(rel=r, dom=d)
         return
+    # only the id_q rules take atoms with arguments
+    plain = rule in (Rule.ID, Rule.ID_STAR)
     if rule in (Rule.ID, Rule.ID_Q):
         for r in ix.rel:
             succ = ix.succ_at.get(r.v, ())
             for f in ix.ante_at.get(r.w, ()):
-                if isinstance(f, Atom) and f in succ:
+                if isinstance(f, Atom) and not (plain and f.args) and f in succ:
                     yield Witness(principal=(r.w, f), formula=(r.v, f), rel=r)
         return
     if row.shape is None:
@@ -971,7 +987,7 @@ def _candidate_witnesses(
         occs = (ix.ante_of if row.side == "ante" else ix.succ_of).get(row.shape, ())
     if row.shape is Atom:  # id*, id_q*
         for occ in occs:
-            if occ in ix.succ:
+            if not (plain and occ[1].args) and occ in ix.succ:
                 yield Witness(principal=occ, formula=occ)
     elif rule in EIGEN_LABEL or rule in EIGEN_PARAM:
         if not occs:

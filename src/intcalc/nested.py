@@ -42,6 +42,7 @@ inside the antecedent list must be parenthesised.
 from __future__ import annotations
 
 import enum
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -64,9 +65,11 @@ from .labelled import (
     INSTANTIATES,
     RULES,
     SequentError,
+    _depth,
     _insert,
     _need,
     _remove,
+    _split_top,
     check_nodes,
     fresh_params,
 )
@@ -174,88 +177,55 @@ def parse_nested(text: str) -> NestedSequent:
 
 
 def _read_nested(text: str, formula) -> NestedSequent:
-    """parse_nested, reading each formula with `formula(text)`."""
-    s, rest = _parse_nested(text, 0, formula)
-    if rest != len(text):
-        raise SequentError(f"trailing input in nested sequent at {rest}")
-    return s
+    """parse_nested, reading each formula with `formula(text)`.
 
+    The brackets are matched once, over the whole text.  Each node's own
+    text is its span with each child's span cut down to `[]`; its sequent
+    arrow is the first '->' there outside all parentheses, and each part
+    `[]` of its succedent is the next child."""
+    close: dict[int, int] = {}
+    kids: dict[int, list[int]] = {-1: []}  # the open brackets in each node
+    stack: list[int] = []
+    for m in re.finditer(r"[\[\]]", text):
+        i = m.start()
+        if text[i] == "[":
+            kids[stack[-1] if stack else -1].append(i)
+            kids[i] = []
+            stack.append(i)
+        elif stack:
+            close[stack.pop()] = i
+        else:
+            raise SequentError(f"unmatched ']' at {i} in nested sequent")
+    if stack:
+        raise SequentError(f"unclosed '[' at {stack[-1]} in nested sequent")
 
-def _parse_nested(text: str, start: int, formula) -> tuple[NestedSequent, int]:
-    # scan for the top-level arrow
-    i, depth = start, 0
-    arrow = -1
-    while i < len(text):
-        c = text[i]
-        if c == "(" or c == "[":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "]":
-            if depth == 0:
+    def node(start: int, end: int, opens: list[int]) -> NestedSequent:
+        own, at = [], start
+        for i in opens:
+            own.append(text[at:i])
+            at = close[i] + 1
+        own.append(text[at:end])
+        pieces = "[]".join(own).split("->")
+        depth = 0
+        for n, piece in enumerate(pieces[:-1]):
+            depth += _depth(piece)
+            if not depth:
                 break
-            depth -= 1
-        elif depth == 0 and text.startswith("->", i):
-            arrow = i
-            break
-        i += 1
-    if arrow < 0:
-        raise SequentError("missing top-level '->' in nested sequent")
-    ante = [formula(p) for p in _split_top(text[start:arrow]) if p]
-    # walk the succedent: formulas and [children]
-    succ: list[Formula] = []
-    children: list[NestedSequent] = []
-    i = arrow + 2
-    cur: list[str] = []
-    depth = 0
-
-    def flush() -> None:
-        t = "".join(cur).strip()
-        if t:
-            succ.append(formula(t))
-        cur.clear()
-
-    while i < len(text):
-        c = text[i]
-        if c == "]" and depth == 0:
-            break
-        if c == "[" and depth == 0 and not "".join(cur).strip():
-            flush()
-            child, j = _parse_nested(text, i + 1, formula)
-            if j >= len(text) or text[j] != "]":
-                raise SequentError(f"unclosed '[' at {i}")
-            children.append(child)
-            i = j + 1
-            continue
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "[":
-            depth += 1
-        if c == "," and depth == 0:
-            flush()
         else:
-            cur.append(c)
-        i += 1
-    flush()
-    return NestedSequent(tuple(ante), tuple(succ), tuple(children)), i
+            raise SequentError("missing top-level '->' in nested sequent")
+        ante = tuple(formula(p) for p in _split_top("->".join(pieces[:n + 1])))
+        succ: list[Formula] = []
+        children: list[NestedSequent] = []
+        child = iter(opens)
+        for part in _split_top("->".join(pieces[n + 1:])):
+            if part == "[]":
+                i = next(child)
+                children.append(node(i + 1, close[i], kids[i]))
+            else:
+                succ.append(formula(part))
+        return NestedSequent(ante, tuple(succ), tuple(children))
 
-
-def _split_top(t: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for c in t:
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        if c == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    return node(0, len(text), kids[-1])
 
 
 def edit(
@@ -342,9 +312,13 @@ class NestedDerivation:
         return 1 + max((p.height() for p in self.premises), default=0)
 
     def nodes(self) -> Iterator["NestedDerivation"]:
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
+        """Every node, in pre-order, walked with a stack: a nested
+        generator would pass each node up through all its ancestors."""
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            yield n
+            stack.extend(reversed(n.premises))
 
     def rule_counts(self) -> dict[NRule, int]:
         out: dict[NRule, int] = {}
@@ -463,9 +437,9 @@ def _nested_candidates(
     row = NESTED_ROWS[rule]
     side = node.ante if row.side == "ante" else node.succ
     fs = [f for f in dict.fromkeys(side) if row.shape is None or isinstance(f, row.shape)]
-    if row.pieces is None:  # id, id_q
+    if row.pieces is None:  # id, id_q; only id_q takes atoms with arguments
         for f in fs:
-            if f in node.succ:
+            if not (rule is NRule.ID and f.args) and f in node.succ:
                 yield NWitness(formula=f)
     elif rule is NRule.LIFT:
         for f in fs:

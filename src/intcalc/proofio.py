@@ -4,6 +4,10 @@ The format keeps checking search-free: every node records its conclusion
 in the sequent text format, the rule id, the witness fields, and the
 premise subtrees.  Labelled and nested derivations share the layout; the
 `kind` field at the root distinguishes them.
+
+`dump_proof` writes a file as compact JSON on one line, which the standard
+library's C encoder produces; `load_proof` reads any JSON layout, the
+indented files of earlier versions included.
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ def dump_proof(d, calculus: str) -> str:
         doc = {"kind": "nested", "calculus": calculus, "proof": nested_to_json(d)}
     else:
         raise SequentError(f"not a derivation: {d!r}")
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def load_proof(text: str):

@@ -6,6 +6,7 @@ import pytest
 import intcalc.cli
 from intcalc.cli import run
 from intcalc.labelled import parse_sequent
+from intcalc.proofio import load_proof
 
 
 def test_parse_roundtrip(capsys):
@@ -116,6 +117,24 @@ def test_eliminate_pipeline(tmp_path, capsys):
     assert run(["check", str(nested)]) == 0
     report = capsys.readouterr().out
     assert "eliminated" in report
+
+
+def test_indented_proof_files_still_load(tmp_path, capsys):
+    # proof files are one line of JSON; earlier versions wrote them indented
+    proof = tmp_path / "in.json"
+    nested = tmp_path / "nested.json"
+    assert run(["prove", "--calc", "g3int", "--depth", "10",
+                "p -> p", "-o", str(proof)]) == 0
+    assert run(["eliminate", str(proof), "-o", str(tmp_path / "out.json"),
+                "--to-nested", str(nested)]) == 0
+    for path, kind in ((proof, "labelled"), (nested, "nested")):
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        old = json.dumps(json.loads(text), indent=2)
+        assert load_proof(old) == load_proof(text)
+        assert load_proof(old)[1] == kind
+        path.write_text(old)
+        assert run(["check", str(path)]) == 0
 
 
 def test_hilbert_check(tmp_path, capsys):

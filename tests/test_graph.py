@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from intcalc.formula import Atom, fkey
+from intcalc.formula import Atom, Param, fkey
 from intcalc.graph import (
     SequentGraph,
+    TreelikeViolation,
     dot_of_graph,
     graph_of_labelled,
     graph_of_nested,
@@ -12,9 +14,17 @@ from intcalc.graph import (
     nestify,
     nestify_with_paths,
     tree_root,
+    treelike_violation,
 )
 from intcalc.kripke import enumerate_models, labelled_sequent_holds, nested_sequent_holds
-from intcalc.labelled import Label, SequentError, parse_sequent
+from intcalc.labelled import (
+    DomAtom,
+    Label,
+    LabelledSequent,
+    RelAtom,
+    SequentError,
+    parse_sequent,
+)
 from intcalc.nested import NestedSequent, parse_nested
 
 
@@ -73,6 +83,75 @@ def test_treelike_detection():
 def test_treelike_directed_cycle():
     ok, viol = is_treelike(parse_sequent("w<=v, v<=w => "))
     assert not ok and viol.kind in ("cycle", "backwards-branching")
+
+
+@pytest.mark.parametrize("text, kind, detail, root", [
+    ("w<=v, v<=v, w: p => v: q", "cycle", "self-loop at v", None),
+    ("w<=v, v<=w => ", "cycle", "every vertex has an incoming edge", None),
+    ("r<=x, w<=v, v<=w => x: p", "cycle", "cycle through v", None),
+    ("w<=v, u<=v => ", "backwards-branching", "u and w both reach v", None),
+    ("w<=v, u<=z => ", "disconnected", "no path joins roots u, w", None),
+    ("#a in D(u), w<=v => w: p", "disconnected", "no path joins roots u, w", None),
+    (" => ", None, None, None),
+    (" => w: p", None, None, "w"),
+    ("w<=v, v<=u, #a in D(u) => v: p", None, None, "w"),
+])
+def test_treelike_verdicts_are_pinned(text, kind, detail, root):
+    s = parse_sequent(text)
+    viol = None if kind is None else TreelikeViolation(kind, detail)
+    assert is_treelike(s) == (viol is None, viol)
+    assert tree_root(s) == (None if root is None else Label(root))
+
+
+_NAMES = ["w", "v", "u", "x"]
+_LABELS = st.sampled_from([Label(n) for n in _NAMES])
+
+
+@st.composite
+def _skeletons(draw):
+    """Sequents whose relational atoms make self-loops, directed cycles and
+    backwards branching as well as trees, and whose domain atoms can hold
+    the only occurrence of a label."""
+    occs = st.lists(st.tuples(_LABELS, st.sampled_from([Atom("p"), Atom("q")])), max_size=3)
+    return LabelledSequent(
+        tuple(draw(st.lists(st.builds(RelAtom, _LABELS, _LABELS), max_size=5))),
+        tuple(draw(st.lists(st.builds(DomAtom, st.just(Param("a")), _LABELS), max_size=2))),
+        tuple(draw(occs)),
+        tuple(draw(occs)),
+    )
+
+
+def _is_tree(vertices, edges):
+    """One vertex without a parent, every other with one, and no vertex
+    met twice on the way up from any vertex."""
+    parent = {}
+    for (a, b) in edges:
+        if b in parent:
+            return False
+        parent[b] = a
+    if len(set(vertices) - set(parent)) != 1:
+        return not vertices
+    for v in vertices:
+        seen = set()
+        while v in parent:
+            if v in seen:
+                return False
+            seen.add(v)
+            v = parent[v]
+    return True
+
+
+@given(_skeletons())
+@example(LabelledSequent())
+@settings(max_examples=400, deadline=None)
+def test_treelike_from_labels_agrees_with_the_graph(s):
+    g = graph_of_labelled(s)
+    viol = treelike_violation(g)
+    assert is_treelike(s) == (viol is None, viol)
+    assert (viol is None) == _is_tree(g.vertices, g.edges)
+    roots = g.vertices - {b for (_, b) in g.edges}
+    expected = Label(min(roots)) if viol is None and roots else None
+    assert tree_root(s) == expected
 
 
 def test_isomorphic_worked_example():

@@ -313,9 +313,11 @@ def _scanned_witnesses(rule, s):
     R = Rule
     if rule in (R.ID, R.ID_Q):
         return [Witness(principal=(l, f), formula=(r.v, f), rel=r) for r in rel
-                for (l, f) in ante if l == r.w and isinstance(f, Atom) and (r.v, f) in succ]
+                for (l, f) in ante if l == r.w and isinstance(f, Atom) and (r.v, f) in succ
+                and (rule is R.ID_Q or not f.args)]
     if rule in (R.ID_STAR, R.ID_Q_STAR):
-        return [Witness(principal=o, formula=o) for o in of(ante, Atom) if o in succ]
+        return [Witness(principal=o, formula=o) for o in of(ante, Atom) if o in succ
+                and (rule is R.ID_Q_STAR or not o[1].args)]
     simple = {R.BOT_L: (ante, Bot), R.AND_L: (ante, And), R.OR_L: (ante, Or),
               R.NEG_L: (ante, Neg), R.IMP_L_STAR: (ante, Impl),
               R.AND_R: (succ, And), R.OR_R: (succ, Or)}

@@ -289,7 +289,8 @@ def _scanned_nested(rule, goal, node):
     ante, succ = list(dict.fromkeys(node.ante)), list(dict.fromkeys(node.succ))
     R = NRule
     if rule in (R.ID, R.ID_Q):
-        return [NWitness(formula=f) for f in ante if isinstance(f, Atom) and f in succ]
+        return [NWitness(formula=f) for f in ante if isinstance(f, Atom) and f in succ
+                and (rule is R.ID_Q or not f.args)]
     if rule is R.LIFT:
         return [NWitness(formula=f, child=i) for f in ante for i in range(len(node.children))]
     shapes = {R.AND_L: (ante, And), R.OR_L: (ante, Or), R.NEG_L: (ante, Neg),
