@@ -26,7 +26,7 @@ from .labelled import (
     RelAtom,
     SequentError,
 )
-from .nested import NestedSequent
+from .nested import NestedSequent, nkey
 
 ISO_BUDGET = 12
 
@@ -52,6 +52,9 @@ def _skeleton(s: LabelledSequent) -> tuple[set[str], set[tuple[str, str]]]:
 
 
 def graph_of_labelled(s: LabelledSequent) -> SequentGraph:
+    """The graph of s.  Each vertex's formulas are in canonical (`fkey`)
+    order with no sort: s holds its labelled formulas sorted by label name,
+    then by formula text, which is `fkey`."""
     verts, edges = _skeleton(s)
     ante: dict[str, list[Formula]] = {v: [] for v in verts}
     succ: dict[str, list[Formula]] = {v: [] for v in verts}
@@ -59,8 +62,7 @@ def graph_of_labelled(s: LabelledSequent) -> SequentGraph:
         ante[w.name].append(f)
     for (w, f) in s.succ:
         succ[w.name].append(f)
-    lab = {v: (tuple(sorted(ante[v], key=fkey)), tuple(sorted(succ[v], key=fkey)))
-           for v in verts}
+    lab = {v: (tuple(ante[v]), tuple(succ[v])) for v in verts}
     return SequentGraph(frozenset(verts), frozenset(edges), lab)
 
 
@@ -263,8 +265,10 @@ def nestify_with_paths(
     built: dict[str, NestedSequent] = {}
 
     def build(v: str) -> NestedSequent:
+        # the formulas are in canonical order already (graph_of_labelled)
         ante, succ = g.labelling[v]
-        built[v] = NestedSequent(ante, succ, tuple(build(b) for b in children[v]))
+        kids = sorted((build(b) for b in children[v]), key=nkey)
+        built[v] = NestedSequent._presorted(ante, succ, tuple(kids))
         return built[v]
 
     def assign(v: str, path: tuple[int, ...]) -> None:

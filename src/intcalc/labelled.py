@@ -913,6 +913,8 @@ class SequentIndex:
     same candidates in the same order as scanning the whole sequent.
 
     rel, dom: the relational and domain atoms (dicts used as ordered sets);
+    rel_pairs, dom_pairs: their (w, v) and (a, w) pairs, which say whether
+    a saturation rule's atom is missing without building the atom;
     ante, succ: the labelled formulas;
     ante_of, succ_of: the occurrences of each connective (keyed by class);
     ante_at, succ_at: the formulas at each label (ordered sets);
@@ -922,6 +924,8 @@ class SequentIndex:
     def __init__(self, s: LabelledSequent):
         self.rel = dict.fromkeys(s.rel)
         self.dom = dict.fromkeys(s.dom)
+        self.rel_pairs = {(r.w, r.v) for r in self.rel}
+        self.dom_pairs = {(d.a, d.w) for d in self.dom}
         self.ante = dict.fromkeys(s.ante)
         self.succ = dict.fromkeys(s.succ)
         self.ante_of, self.ante_at = _group(self.ante)
@@ -949,27 +953,34 @@ def _fresh_param(s: LabelledSequent) -> Param:
 
 
 def _candidate_witnesses(
-    rule: Rule, s: LabelledSequent, ix: SequentIndex | None = None
+    rule: Rule, s: LabelledSequent, ix: SequentIndex | None = None, missing: bool = False
 ) -> Iterator[Witness]:
     """The witnesses worth trying for rule on s, read off the index of s
     (built here when not given) and the rule's row.  Eigenvariables are
-    fresh; premises_for still checks every side condition."""
+    fresh; premises_for still checks every side condition.  With
+    `missing`, a saturation rule yields only the witnesses whose added atom
+    (`ADDED_ATOM`) is not in s yet, in the same order; other rules ignore
+    it."""
     if ix is None:
         ix = SequentIndex(s)
     row = RULES.get(rule)
     if row is None:  # the saturation rules
+        have_rel = ix.rel_pairs if missing else ()
         if rule is Rule.REF:
             for l in sorted(s.labels(), key=lambda x: x.name):
-                yield Witness(label=l)
+                if (l, l) not in have_rel:
+                    yield Witness(label=l)
         elif rule is Rule.TRA:
             for r1 in ix.rel:
                 for r2 in ix.rel_from.get(r1.v, ()):
-                    yield Witness(rel=r1, rel2=r2)
+                    if (r1.w, r2.v) not in have_rel:
+                        yield Witness(rel=r1, rel2=r2)
         elif rule in (Rule.ND, Rule.CD):
+            have_dom = ix.dom_pairs if missing else ()
             for r in ix.rel:
-                at = r.w if rule is Rule.ND else r.v
+                at, to = (r.w, r.v) if rule is Rule.ND else (r.v, r.w)
                 for d in ix.dom:
-                    if d.w == at:
+                    if d.w == at and (d.a, to) not in have_dom:
                         yield Witness(rel=r, dom=d)
         return
     # only the id_q rules take atoms with arguments

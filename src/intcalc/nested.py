@@ -120,10 +120,7 @@ class NestedSequent:
         return NestedSequent._presorted(self.ante, self.succ, kids[:i] + (kid,) + kids[i:])
 
     def holes(self) -> Iterator[tuple[int, ...]]:
-        yield ()
-        for i, c in enumerate(self.children):
-            for sub in c.holes():
-                yield (i,) + sub
+        return (hole for hole, _node in _walk(self))
 
     def formulas(self) -> Iterator[Formula]:
         yield from self.ante
@@ -145,6 +142,17 @@ class NestedSequent:
 
     def __repr__(self) -> str:
         return show_nested(self)
+
+
+def _walk(s: NestedSequent) -> Iterator[tuple[tuple[int, ...], NestedSequent]]:
+    """(hole, node) of every hole of s in preorder, walked with a stack: a
+    nested generator would pass each hole up through all its ancestors."""
+    stack = [((), s)]
+    while stack:
+        hole, node = stack.pop()
+        yield hole, node
+        kids = node.children
+        stack.extend((hole + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1))
 
 
 from .formula import cache_hash as _cache_hash
@@ -417,9 +425,8 @@ def apply_nested_backward(
     if rule not in _nested_rules(calc):
         return []
     out = []
-    for hole in goal.holes():
-        node = goal.at(hole)
-        for w in _nested_candidates(rule, goal, node):
+    for hole, ix in index_holes(goal):
+        for w in _nested_candidates(rule, goal, ix.node, ix):
             try:
                 prem = nested_premises_for(calc, rule, goal, hole, w)
             except SequentError:
@@ -428,18 +435,57 @@ def apply_nested_backward(
     return out
 
 
+class NodeIndex:
+    """The lookup tables of one node of a nested sequent that candidate
+    enumeration and the search's novelty test read, as
+    `labelled.SequentIndex` holds those of a labelled sequent.  Each table
+    is in first-occurrence order, so that reading it yields the same
+    candidates in the same order as scanning the node.
+
+    ante, succ: the distinct formulas (dicts used as ordered sets);
+    ante_of, succ_of: the distinct formulas of each connective (keyed by
+    class).
+    """
+
+    __slots__ = ("node", "ante", "succ", "ante_of", "succ_of")
+
+    def __init__(self, node: NestedSequent):
+        self.node = node
+        self.ante = dict.fromkeys(node.ante)
+        self.succ = dict.fromkeys(node.succ)
+        self.ante_of = _by_class(self.ante)
+        self.succ_of = _by_class(self.succ)
+
+
+def _by_class(fs) -> dict[type, list[Formula]]:
+    out: dict[type, list[Formula]] = {}
+    for f in fs:
+        out.setdefault(type(f), []).append(f)
+    return out
+
+
+def index_holes(s: NestedSequent) -> list[tuple[tuple[int, ...], NodeIndex]]:
+    """(hole, index of its node) of every hole of s, in `holes()` order."""
+    return [(hole, NodeIndex(node)) for hole, node in _walk(s)]
+
+
 def _nested_candidates(
-    rule: NRule, goal: NestedSequent, node: NestedSequent
+    rule: NRule, goal: NestedSequent, node: NestedSequent, ix: NodeIndex | None = None
 ) -> Iterator[NWitness]:
     """The witnesses worth trying for rule at the hole whose node is
-    `node`, read off the rule's row; only the first-order rules read the
-    parameters of the goal."""
+    `node`, read off the node's index (built here when not given) and the
+    rule's row; only the first-order rules read the parameters of the
+    goal."""
+    if ix is None:
+        ix = NodeIndex(node)
     row = NESTED_ROWS[rule]
-    side = node.ante if row.side == "ante" else node.succ
-    fs = [f for f in dict.fromkeys(side) if row.shape is None or isinstance(f, row.shape)]
+    if row.shape is None:
+        fs = ix.ante if row.side == "ante" else ix.succ
+    else:
+        fs = (ix.ante_of if row.side == "ante" else ix.succ_of).get(row.shape, ())
     if row.pieces is None:  # id, id_q; only id_q takes atoms with arguments
         for f in fs:
-            if not (rule is NRule.ID and f.args) and f in node.succ:
+            if not (rule is NRule.ID and f.args) and f in ix.succ:
                 yield NWitness(formula=f)
     elif rule is NRule.LIFT:
         for f in fs:

@@ -38,13 +38,17 @@ world that the branch has already created.
 The search pays for bookkeeping per sequent and per node, not per rule.
 The labels and parameters of a sequent (and of each formula) are computed
 once and cached on it, since sequents are immutable.  Each node builds one
-lookup index of its sequent (`labelled.SequentIndex`: the occurrences by
-connective and by label, the relational atoms by source label), from which
-every rule reads its candidates and the novelty test its per-label sets.
-The index lives only while its node is searched and is not cached on the
-sequent: the proof caches keep their sequents alive, and an index on each
-of them raised the peak memory of the benchmark's `families` workload
-from 24 MB to 34 MB.
+lookup index of its sequent, from which every rule reads its candidates
+and the novelty test its sets, in both notations.  A labelled sequent's
+index (`labelled.SequentIndex`) holds the occurrences by connective and by
+label, the relational atoms by source label and the atoms present, so that
+a saturation rule lists only the witnesses whose atom is missing.  A
+nested sequent's index (`nested.index_holes`) lists its holes in order,
+each with its node's distinct formulas by connective (`nested.NodeIndex`),
+so that no rule walks the tree.  The index lives only while its node is
+searched and is not cached on the sequent: the proof caches keep their
+sequents alive, and an index on each of them raised the peak memory of the
+benchmark's `families` workload from 24 MB to 34 MB.
 
 The small values a search handles most are interned (`formula.Interned`):
 labels, relational and domain atoms, parameters and bound variables.
@@ -89,13 +93,13 @@ from .kripke import (
     satisfies_reference,
 )
 from .labelled import (
-    ADDED_ATOM,
     CALCULI,
     CLOSERS,
     CONSUMES,
     COPIES,
     EIGEN_LABEL,
     RULES,
+    STRUCTURAL,
     Label,
     LabelledDerivation,
     LabelledSequent,
@@ -119,6 +123,7 @@ from .nested import (
     NestedSequent,
     _nested_candidates,
     check_nested_derivation,
+    index_holes,
     nested_premises_for,
 )
 
@@ -270,18 +275,19 @@ def _nested_group(group) -> tuple:
 
 class _Search:
     """The one backward search loop; a notation subclass supplies its rule
-    groups (CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD), its instance
-    enumeration (`_instances`), the content the eigen block records
-    (`_eigen`) and the derivation node (`_node`), and may refine the hooks
-    `_index`, `_copy_order` and `_fresh_cost`.
+    groups (CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD), its index
+    (`_index`), its instance enumeration (`_instances`), the content the
+    eigen block records (`_eigen`) and the derivation node (`_node`), and
+    may refine the hooks `_copy_order` and `_fresh_cost`.
 
     A node that is not answered from the caches builds its sequent's index
-    once (`_index`: the labelled `SequentIndex`, none for nested sequents)
-    and hands it to every `_instances` call it makes.  The index is dropped
-    when the node returns, so only the nodes of the current branch hold
-    one; cached on the sequent, it would live as long as the proof caches
-    (peak memory, see above).  Labels and parameters, which every node
-    would otherwise recompute per rule, are cached on the sequent.
+    once (`_index`: the labelled `SequentIndex`, or the nested sequent's
+    holes in order, each with its `NodeIndex`) and hands it to every
+    `_instances` call it makes.  The index is dropped when the node
+    returns, so only the nodes of the current branch hold one; cached on
+    the sequent, it would live as long as the proof caches (peak memory,
+    see above).  Labels and parameters, which every node would otherwise
+    recompute per rule, are cached on the sequent.
 
     Proved sequents are cached, and so is every failure, keyed by the
     sequent and the eigen-block records, with the largest budget that
@@ -304,9 +310,6 @@ class _Search:
         return self._search(goal, self.cfg.depth_bound, frozenset(), 0)
 
     # hooks with a default
-    def _index(self, s):
-        return None
-
     def _copy_order(self, s):
         return lambda cands: cands
 
@@ -399,13 +402,8 @@ class _Search:
 # the labelled notation
 
 def _labelled_adds_new(rule: Rule, w: Witness, ix: SequentIndex) -> bool:
-    """`_adds_new` for the saturation or copy instance on the indexed
-    sequent: a saturation rule adds one atom, a copy rule the pieces of its
-    row at the label where it places them."""
-    added = ADDED_ATOM.get(rule)
-    if added is not None:
-        atom = added(w)
-        return atom not in ix.rel and atom not in ix.dom
+    """`_adds_new` for the copy instance on the indexed sequent: the pieces
+    of its row at the label where it places them."""
     l, a = placement(rule, w)
     return _adds_new(RULES[rule].pieces(w.principal[1], a), ix.ante_at.get(l, ()),
                      ix.succ_at.get(l, ()), ix.ante_at.get(l, ()))
@@ -460,9 +458,12 @@ class _Labelled(_Search):
 
     def _instances(self, rule: Rule, s: LabelledSequent, ix, fresh, novel: bool):
         """(None, premises, witness) of each instance; with `novel`, only
-        the instances that add something new (`_labelled_adds_new`)."""
-        for w in _candidate_witnesses(rule, s, ix):
-            if novel and not _labelled_adds_new(rule, w, ix):
+        the instances that add something new: a saturation rule's witnesses
+        are read off what is missing, and a copy instance passes
+        `_labelled_adds_new`."""
+        copy_test = novel and rule not in STRUCTURAL
+        for w in _candidate_witnesses(rule, s, ix, missing=novel):
+            if copy_test and not _labelled_adds_new(rule, w, ix):
                 continue
             try:
                 prem = premises_for(rule, s, w)
@@ -498,19 +499,22 @@ class _Nested(_Search):
     def __init__(self, cfg: SearchConfig):
         super().__init__(cfg, NESTED_CALCULI[cfg.calculus])
 
+    def _index(self, s: NestedSequent) -> list:
+        return index_holes(s)
+
     def _instances(self, rule: NRule, s: NestedSequent, ix, fresh: int, novel: bool):
         """(hole, premises, witness) of each instance; with `novel`, only
         the instances that add something new (`_adds_new`)."""
         budget_left = self.cfg.parameter_budget - fresh
-        for hole in s.holes():
-            node = s.at(hole)
-            for w in _nested_candidates(rule, s, node):
+        for hole, at in ix:
+            node = at.node
+            for w in _nested_candidates(rule, s, node, at):
                 if rule in _INSTANTIATE:
                     is_fresh = w.param not in s.params()
                     if is_fresh and budget_left <= 0:
                         continue
                 if novel and not _adds_new(
-                    NESTED_ROWS[rule].pieces(w.formula, w.param), node.ante, node.succ,
+                    NESTED_ROWS[rule].pieces(w.formula, w.param), at.ante, at.succ,
                     () if w.child is None else node.children[w.child].ante,
                 ):
                     continue

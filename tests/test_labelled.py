@@ -21,6 +21,7 @@ from intcalc.formula import (
     subformulas,
 )
 from intcalc.labelled import (
+    ADDED_ATOM,
     CALCULI,
     EIGEN,
     REL,
@@ -357,6 +358,17 @@ def _scanned_witnesses(rule, s):
 def test_indexed_candidates_match_a_full_scan(s):
     for rule in sorted(set().union(*CALCULI.values()), key=lambda r: r.value):
         assert list(_candidate_witnesses(rule, s)) == _scanned_witnesses(rule, s), rule
+
+
+@given(_sequents())
+@settings(max_examples=300, deadline=None)
+def test_missing_saturation_witnesses_are_the_full_ones_filtered(s):
+    """The search's saturation witnesses are the full enumeration, in its
+    order, less those whose added atom is already in s."""
+    for rule in (Rule.REF, Rule.TRA, Rule.ND, Rule.CD):
+        want = [wit for wit in _candidate_witnesses(rule, s)
+                if ADDED_ATOM[rule](wit) not in s.rel + s.dom]
+        assert list(_candidate_witnesses(rule, s, missing=True)) == want, rule
 
 
 def test_every_row_places_a_premise_at_one_label():

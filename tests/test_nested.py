@@ -38,6 +38,7 @@ from intcalc.nested import (
     check_nested_derivation,
     check_nested_inference,
     edit,
+    index_holes,
     nested_premises_for,
     parse_nested,
     show_nested,
@@ -310,10 +311,21 @@ def _scanned_nested(rule, goal, node):
 @given(_nested_sequents())
 @settings(max_examples=200, deadline=None)
 def test_nested_candidates_match_a_scan_at_every_hole(s):
-    for hole in s.holes():
+    """Per hole, and read off the hole index, which lists the holes in
+    preorder, as `holes()` does."""
+    def preorder(node, path=()):
+        yield path
+        for i, c in enumerate(node.children):
+            yield from preorder(c, path + (i,))
+
+    indexed = index_holes(s)
+    assert [hole for hole, _ in indexed] == list(s.holes()) == list(preorder(s))
+    for hole, ix in indexed:
+        assert ix.node is s.at(hole)
         for rule in NRule:
-            got = list(_nested_candidates(rule, s, s.at(hole)))
-            assert got == _scanned_nested(rule, s, s.at(hole)), (rule, hole)
+            want = _scanned_nested(rule, s, s.at(hole))
+            assert list(_nested_candidates(rule, s, s.at(hole))) == want, (rule, hole)
+            assert list(_nested_candidates(rule, s, ix.node, ix)) == want, (rule, hole)
 
 
 def _same_tree(a, b):
