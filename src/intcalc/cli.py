@@ -25,7 +25,6 @@ from .kripke import (
 )
 from .labelled import (
     CALCULI,
-    Label,
     LabelledSequent,
     SequentError,
     parse_sequent,
@@ -33,7 +32,7 @@ from .labelled import (
 )
 from .nested import NESTED_CALCULI, parse_nested, show_nested
 from .proofio import dump_proof, load_proof
-from .search import SearchConfig, check_proof, find_countermodel, prove
+from .search import SearchConfig, check_proof, find_countermodel, goal_for, prove
 from .transform import TransformError, eliminate_structural, proof_to_nested
 
 OK, NEGATIVE, INPUT_ERROR, INTERNAL = 0, 1, 2, 3
@@ -63,20 +62,19 @@ def cmd_parse(args) -> int:
 
 
 def _parse_goal(text: str, calculus: str):
+    """The goal text, a formula or a sequent, parsed and put into the
+    signature of the calculus (`search.goal_for`)."""
     if calculus in NESTED_CALCULI:
         if "=>" in text:
             raise SequentError("nested calculi use the 'X -> Y' sequent format")
         if "->" in text or "[" in text:
             try:
-                return parse_nested(text)
+                return goal_for(parse_nested(text), calculus)
             except (SequentError, FormulaError):
                 pass
-        from .nested import NestedSequent
-
-        return NestedSequent(succ=(parse_formula(text),))
-    if "=>" in text:
-        return parse_sequent(text)
-    return LabelledSequent(succ=((Label("w"), parse_formula(text)),))
+    elif "=>" in text:
+        return goal_for(parse_sequent(text), calculus)
+    return goal_for(parse_formula(text), calculus)
 
 
 def cmd_prove(args) -> int:
@@ -273,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("prove", help="backward proof search")
-    p.add_argument("goal", help="formula or sequent text")
+    p.add_argument("goal", help="formula or sequent text, converted to the calculus's "
+                                "signature: ~A to A -> false where it has no neg_r, "
+                                "false to p0 & ~p0 where it has no bot_l")
     p.add_argument("--calc", default="g3int",
                    choices=sorted(CALCULI) + sorted(NESTED_CALCULI))
     p.add_argument("--depth", type=int, default=12)

@@ -717,6 +717,10 @@ def _side_conditions(rule: Rule, row: Row, s: LabelledSequent, w: Witness) -> No
         _need(w.param is not None, "{0.value} needs an eigenparameter", rule)
         _need(w.param not in s.params(), "eigenvariable {0!r} occurs in conclusion", w.param)
     elif rule in INSTANTIATES:
+        # an instance needs a domain atom, so the labelled calculi allow an
+        # empty domain: with no domain atom and no eigenparameter there is
+        # no instance, and (forall x. r(x)) -> exists x. r(x) has no proof,
+        # though nintqc-star, taking a fresh parameter, proves it
         _need(w.dom is not None and w.dom in s.dom, "{0.value}: domain atom not present", rule)
         if rule is Rule.FORALL_L:
             _need(w.dom.w == w.rel.v, "forall_l: domain atom must sit at the upper label")

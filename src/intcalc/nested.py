@@ -508,7 +508,10 @@ def _nested_candidates(
 
 
 def _inst_params(goal: NestedSequent) -> list[Param]:
-    # existing parameters first, then one fresh
+    # existing parameters first, then one fresh.  A fresh parameter names an
+    # individual that no formula has introduced, which assumes a nonempty
+    # domain: nintqc-star so proves (forall x. r(x)) -> exists x. r(x),
+    # which the labelled calculi, needing a domain atom, do not
     have = sorted(goal.params(), key=lambda p: p.name)
     used = {p.name for p in have}
     return have + fresh_params(used)

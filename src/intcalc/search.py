@@ -64,7 +64,9 @@ Countermodels come from `find_countermodel`.  Every propositional
 countermodel, for `decide_prop` and the command line alike, comes from
 one engine, `kripke.rooted_countermodel`; the scan over every labelled
 model serves only first-order formulas.  `decide_prop` asks for a small
-countermodel first and runs proof search only when there is none.
+countermodel first and runs proof search, once, only when there is none.
+Both `decide_prop` and the command line put a goal into the signature of
+its calculus with `goal_for`, which reads the conversion off the rule set.
 
 `notFoundWithinBounds` (None results) is never a refutation.
 """
@@ -72,7 +74,7 @@ countermodel first and runs proof search only when there is none.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .formula import (
@@ -80,7 +82,9 @@ from .formula import (
     Atom,
     Bot,
     Formula,
+    Neg,
     Or,
+    convert_signature,
     params_of,
     subformulas,
 )
@@ -551,7 +555,11 @@ def find_countermodel(
     A propositional formula goes to `rooted_countermodel`, which decides
     it up to max_worlds with the fewest worlds; domain_size is not read.
     A first-order formula is tried on every labelled model over a domain
-    of domain_size individuals (at least one), which is incomplete.  A
+    of domain_size individuals (at least one), which is incomplete.  The
+    scan assumes a nonempty domain, as the nested search does
+    (`nested._inst_params`): it misses a countermodel that needs the empty
+    domain, such as the one world with no individual that refutes
+    (forall x. r(x)) -> exists x. r(x).  A
     countermodel re-evaluates to false under `satisfies_reference` before
     it is returned; None only exhausts the bound.
     """
@@ -583,18 +591,15 @@ class Decision:
     countermodel: Optional[Countermodel] = None
 
 
-_DEPTH_SCHEDULE = (4, 6, 8, 10, 12, 14, 16)
-
-
 def decide_prop(
     f: Formula, model_bound: int, cfg: SearchConfig
 ) -> Decision:
     """A countermodel with at most model_bound worlds, else a proof.
 
-    The schedule: first `find_countermodel` tries the rooted models with
-    at most model_bound worlds, smallest first.  Only if none refutes f,
-    proof search runs with the depth bounds 4, 6, 8, ... up to
-    cfg.depth_bound.
+    First `find_countermodel` tries the rooted models with at most
+    model_bound worlds, smallest first.  Only if none refutes f does proof
+    search run, once, at cfg.depth_bound: the search is monotone in its
+    budget, so a smaller bound finds no proof that this one misses.
 
     Never returns both witnesses; a proof re-checks and a countermodel
     re-evaluates to false under the reference evaluator before being
@@ -605,32 +610,46 @@ def decide_prop(
     cm = find_countermodel(f, model_bound) if model_bound >= 1 else None
     if cm is not None:
         return Decision("countermodel", countermodel=cm)
-    goal = _goal_for(f, cfg.calculus)
-    depths = [d for d in _DEPTH_SCHEDULE if d < cfg.depth_bound]
-    for bound in depths + [cfg.depth_bound]:
-        proof = prove(goal, dc_replace(cfg, depth_bound=bound))
-        if proof is not None:
-            ok, _, msg = check_proof(cfg.calculus, proof)
-            if not ok:
-                raise SequentError(f"returned proof fails to check: {msg}")
-            return Decision("theorem", proof=proof)
-    return Decision("undecided")
+    proof = prove(goal_for(f, cfg.calculus), cfg)
+    if proof is None:
+        return Decision("undecided")
+    ok, _, msg = check_proof(cfg.calculus, proof)
+    if not ok:
+        raise SequentError(f"returned proof fails to check: {msg}")
+    return Decision("theorem", proof=proof)
 
 
-def _goal_for(f: Formula, calculus: str):
-    from .formula import convert_signature
+def goal_for(goal, calculus: str):
+    """The goal, a formula or a labelled or nested sequent, as a sequent in
+    the signature of the calculus: a formula A becomes `=> w: A` or
+    `=> A`, and every formula is converted with `toBot` (~A to A -> false)
+    when the calculus has no neg_r, and with `toNeg` (false to p0 & ~p0)
+    when it has no bot_l, as no nested calculus has.  A formula already in
+    the signature is kept as the same object."""
+    rules = CALCULI.get(calculus) or NESTED_CALCULI.get(calculus)
+    if rules is None:
+        raise SequentError(f"unknown calculus {calculus!r}")
+    names = {r.value for r in rules}
+    direction, foreign = (("toBot", Neg) if "neg_r" not in names
+                          else ("toNeg", Bot) if "bot_l" not in names else (None, None))
 
+    def conv(g: Formula) -> Formula:
+        if direction is None or not any(isinstance(h, foreign) for h in subformulas(g)):
+            return g
+        return convert_signature(g, direction)
+
+    def nested(s: NestedSequent) -> NestedSequent:
+        return NestedSequent(tuple(map(conv, s.ante)), tuple(map(conv, s.succ)),
+                             tuple(map(nested, s.children)))
+
+    if isinstance(goal, LabelledSequent):
+        return LabelledSequent(goal.rel, goal.dom, tuple((l, conv(g)) for l, g in goal.ante),
+                               tuple((l, conv(g)) for l, g in goal.succ))
+    if isinstance(goal, NestedSequent):
+        return nested(goal)
     if calculus in CALCULI:
-        # the plain G3 calculi have no negation rules
-        g = convert_signature(f, "toBot") if calculus in ("g3int", "g3intqc") else f
-        return LabelledSequent(succ=((Label("w"), g),))
-    # the nested calculi have no bottom rule
-    g = convert_signature(f, "toNeg") if _mentions_bot(f) else f
-    return NestedSequent(succ=(g,))
-
-
-def _mentions_bot(f: Formula) -> bool:
-    return any(isinstance(g, Bot) for g in subformulas(f))
+        return LabelledSequent(succ=((Label("w"), conv(goal)),))
+    return NestedSequent(succ=(conv(goal),))
 
 
 def check_proof(calculus: str, proof: Derivation):

@@ -13,6 +13,28 @@ Elimination of ref, tra, nd and cd follows the paper's induction in one
 post-order pass (`_eliminate`): a rule is first removed from the subproofs
 above an inference, then from the inference itself, so each step works on
 a subproof free of that rule and leaves none behind.
+
+The case analysis, written once.  Each of ref, tra, nd and cd adds one
+atom; its step drops the atom from the subproof above (`_drop_atom`) and
+rewrites the inferences that read its last copy.  The relational rows of
+the rule table (id, id_q, imp_l, forall_l, lift) read an atom w<=v and put
+their pieces at v; nd and cd read a relational atom and a domain atom at
+one end of it; forall_l, exists_r and their starred twins read a domain
+atom, and id_q the domain atoms of its parameters at w.  One lemma moves
+them: a rule that reads w<=v is its starred twin at v plus a lift of its
+principal from w (`_starred_lift`).
+- ref (w<=w): a relational row becomes its starred twin at w; a lift, nd
+  or cd by w<=w duplicates what it adds, which is contracted.
+- tra (w<=u from w<=v, v<=u): a relational row is re-issued at v, reading
+  v<=u, under a lift by w<=v (id_q adds the domain atoms it reads at v and
+  closes them with nd by w<=v); nd and cd move their domain atom in two
+  steps, through v.
+- nd and cd (a in D(x) from a source atom): a rule that reads a in D(x)
+  names a by the source atom instead; forall_l becomes forall_l* at w over
+  a lift of its instance (`_forall_l_star`), and id_q its starred twin
+  under a lift.
+The expansion of the derived rules (`_expand`) uses the same two rewrites
+for id, id_q, imp_l and forall_l.
 """
 
 from __future__ import annotations
@@ -21,11 +43,10 @@ import functools
 from dataclasses import dataclass, field, replace as dc_replace
 
 from .formula import (
-    Bot,
     Formula,
-    Neg,
     Param,
     convert_signature,
+    params_of,
     rename_param,
     substitute_param,
 )
@@ -43,6 +64,8 @@ from .labelled import (
     LabelledDerivation,
     LabelledFormula,
     LabelledSequent,
+    REL,
+    RULES,
     RelAtom,
     Rule,
     STRUCTURAL,
@@ -335,32 +358,23 @@ def _invert(
         and n.conclusion.ante.count(w.principal) <= len(tracked)
     ):
         u = w.rel.v
-        (wl, f) = w.principal
-        up_occ = (u, f)
+        up_occ = (u, w.principal[1])
         wu = _eigen_witness(rule, up_occ, used)
         grown = dict(occs)
         grown[up_occ] = grown.get(up_occ, []) + [(_pieces(rule, wu)[idx], wu)]
-        inner = _invert(n.premises[0], rule, idx, grown, used)
+        cur = _invert(n.premises[0], rule, idx, grown, used)
         piece_w, plan_w = tracked[0]
-        if rule is Rule.EXISTS_L:
-            # unify the two fresh parameters, lift the instance, close the
-            # duplicated domain atom with nd
-            inner = _substitute(inner, "param", plan_w.param, wu.param)
-            inst_w = piece_w.ante[0]
-            inst_u = (u, inst_w[1])
-            c1 = inner.conclusion.remove(ante=[inst_u])
-            inner = LabelledDerivation(c1, Rule.LIFT, (inner,),
-                                       Witness(principal=inst_w, rel=w.rel))
-            dom_w = piece_w.dom[0]
-            dom_u = DomAtom(dom_w.a, u)
-            c2 = c1.remove(dom=[dom_u])
-            return LabelledDerivation(c2, Rule.ND, (inner,), Witness(rel=w.rel, dom=dom_w))
-        cur = inner
+        # unify the eigenparameter of the copy at u, if the rule takes one,
+        # with the plan's; then lift each formula of the piece from w up to
+        # u and close each domain atom of the piece at u with nd
+        if plan_w.param is not None:
+            cur = _substitute(cur, "param", plan_w.param, wu.param)
         for (lbl, g) in piece_w.ante:
-            up = (u, g)
-            c1 = cur.conclusion.remove(ante=[up])
-            cur = LabelledDerivation(c1, Rule.LIFT, (cur,),
+            cur = LabelledDerivation(cur.conclusion.remove(ante=[(u, g)]), Rule.LIFT, (cur,),
                                      Witness(principal=(lbl, g), rel=w.rel))
+        for d in piece_w.dom:
+            cur = LabelledDerivation(cur.conclusion.remove(dom=[DomAtom(d.a, u)]), Rule.ND,
+                                     (cur,), Witness(rel=w.rel, dom=d))
         return cur
 
     # context: the tracked occurrences ride along unchanged
@@ -528,10 +542,12 @@ def eliminate_ref(d: LabelledDerivation, calc: str) -> LabelledDerivation:
     return _checked("ref elimination", calc, d, _eliminate(d, (Rule.REF,)))
 
 
-# id, id_q, imp_l and forall_l read their relational atom w<=v; each starred
-# twin is the same rule with v = w, which the rule table places at the
+# the relational rows (id, id_q, imp_l, forall_l, lift) read their
+# relational atom w<=v and put their pieces at v; each but lift has a
+# starred twin, the same rule with v = w, which the rule table places at the
 # principal's label
-_STARRED = {r: Rule(f"{r.value}_star") for r in (Rule.ID, Rule.ID_Q, Rule.IMP_L, Rule.FORALL_L)}
+_RELATIONAL = frozenset(r for r, row in RULES.items() if row.at == REL)
+_STARRED = {r: Rule(f"{r.value}_star") for r in _RELATIONAL - {Rule.LIFT}}
 
 
 def _ref_step(P: LabelledDerivation, zz: RelAtom) -> LabelledDerivation:
@@ -567,79 +583,36 @@ def _tra_step(P: LabelledDerivation, comp: RelAtom, r1: RelAtom,
               r2: RelAtom) -> LabelledDerivation:
     """Proof of P's conclusion minus one copy of the composite w<=u,
     given that w<=v and v<=u remain present."""
-    wl, vl, ul = r1.w, r1.v, r2.v
-
-    def lift_down(onto: LabelledDerivation, a: Label, b: Label, f: Formula, rel: RelAtom):
-        c = onto.conclusion.remove(ante=[(b, f)])
-        return LabelledDerivation(c, Rule.LIFT, (onto,), Witness(principal=(a, f), rel=rel))
+    wl, vl = r1.w, r1.v
 
     def read(n: LabelledDerivation, target, drop):
         w = n.witness
         if comp not in (w.rel, w.rel2):
             return None
-        if n.rule is Rule.ID:
-            # id* at the upper label, then lift back down the chain
-            (pw, pf) = w.principal
-            leaf_c = target.add(ante=[(vl, pf), (ul, pf)])
-            leaf = LabelledDerivation(leaf_c, Rule.ID_STAR, (),
-                                      Witness(principal=(ul, pf), formula=w.formula))
-            step1 = lift_down(leaf, vl, ul, pf, r2)
-            return lift_down(step1, wl, vl, pf, r1)
-        if n.rule is Rule.ID_Q:
-            # id_q via the upper edge, lift the atom, close domain atoms
-            (pw, pf) = w.principal
-            ps = [a for a in dict.fromkeys(t for t in pf.args if isinstance(t, Param))]
-            leaf_c = target.add(
-                dom=[DomAtom(a, vl) for a in ps], ante=[(vl, pf)]
-            )
-            leaf = LabelledDerivation(leaf_c, Rule.ID_Q, (),
-                                      Witness(principal=(vl, pf), formula=w.formula, rel=r2))
-            cur = lift_down(leaf, wl, vl, pf, r1)
-            for a in ps:
-                c = cur.conclusion.remove(dom=[DomAtom(a, vl)])
-                cur = LabelledDerivation(c, Rule.ND, (cur,),
-                                         Witness(rel=r1, dom=DomAtom(a, wl)))
+        if n.rule in _RELATIONAL:
+            # the inference again at v, reading v<=u, then a lift of its
+            # principal from w up to v
+            up = (vl, w.principal[1])
+            doms = [DomAtom(a, vl) for a in params_of(up[1])] if n.rule is Rule.ID_Q else []
+            again = LabelledDerivation(target.add(dom=doms, ante=[up]), n.rule,
+                                       tuple(_weaken(drop(p), ante=[up]) for p in n.premises),
+                                       dc_replace(w, principal=up, rel=r2))
+            cur = LabelledDerivation(target.add(dom=doms), Rule.LIFT, (again,),
+                                     Witness(principal=w.principal, rel=r1))
+            for d in doms:
+                cur = LabelledDerivation(cur.conclusion.remove(dom=[d]), Rule.ND, (cur,),
+                                         Witness(rel=r1, dom=DomAtom(d.a, wl)))
             return cur
-        if n.rule is Rule.IMP_L:
-            (pw, pf) = w.principal
-            add = dict(ante=[(vl, pf), (ul, pf)])
-            p0 = _weaken(drop(n.premises[0]), **add)
-            p1 = _weaken(drop(n.premises[1]), **add)
-            c_star = target.add(ante=[(vl, pf), (ul, pf)])
-            star = LabelledDerivation(c_star, Rule.IMP_L_STAR, (p0, p1),
-                                      Witness(principal=(ul, pf)))
-            step1 = lift_down(star, vl, ul, pf, r2)
-            return lift_down(step1, wl, vl, pf, r1)
-        if n.rule is Rule.FORALL_L:
-            (pw, pf) = w.principal
-            p = _weaken(drop(n.premises[0]), ante=[(vl, pf)])
-            c_fl = target.add(ante=[(vl, pf)])
-            fl = LabelledDerivation(c_fl, Rule.FORALL_L, (p,),
-                                    Witness(principal=(vl, pf), rel=r2, dom=w.dom))
-            return lift_down(fl, wl, vl, pf, r1)
-        if n.rule is Rule.LIFT:
-            (pw, pf) = w.principal
-            p = _weaken(drop(n.premises[0]), ante=[(vl, pf)])
-            c1 = p.conclusion.remove(ante=[(ul, pf)])
-            step1 = LabelledDerivation(c1, Rule.LIFT, (p,), Witness(principal=(vl, pf), rel=r2))
-            return lift_down(step1, wl, vl, pf, r1)
-        if n.rule is Rule.ND:
-            a = w.dom.a
-            p = _weaken(drop(n.premises[0]), dom=[DomAtom(a, vl)])
-            c1 = p.conclusion.remove(dom=[DomAtom(a, ul)])
-            s1 = LabelledDerivation(c1, Rule.ND, (p,), Witness(rel=r2, dom=DomAtom(a, vl)))
-            c2 = c1.remove(dom=[DomAtom(a, vl)])
-            return LabelledDerivation(c2, Rule.ND, (s1,), Witness(rel=r1, dom=DomAtom(a, wl)))
-        if n.rule is Rule.CD:
-            a = w.dom.a
-            p = _weaken(drop(n.premises[0]), dom=[DomAtom(a, vl)])
-            c1 = p.conclusion.remove(dom=[DomAtom(a, wl)])
-            s1 = LabelledDerivation(c1, Rule.CD, (p,), Witness(rel=r1, dom=DomAtom(a, vl)))
-            c2 = c1.remove(dom=[DomAtom(a, vl)])
-            return LabelledDerivation(c2, Rule.CD, (s1,), Witness(rel=r2, dom=DomAtom(a, ul)))
-        raise TransformError(
-            f"tra elimination: unhandled active case {n.rule.value}"
-        )
+        if n.rule in (Rule.ND, Rule.CD):
+            # the domain atom travels in two steps, through v: nd takes it
+            # up by w<=v then v<=u, cd down by v<=u then w<=v
+            mid = DomAtom(w.dom.a, vl)
+            first, second = (r2, r1) if n.rule is Rule.ND else (r1, r2)
+            p = _weaken(drop(n.premises[0]), dom=[mid])
+            step = LabelledDerivation(p.conclusion.remove(dom=[ADDED_ATOM[n.rule](w)]), n.rule,
+                                      (p,), Witness(rel=first, dom=mid))
+            return LabelledDerivation(target, n.rule, (step,), Witness(rel=second, dom=w.dom))
+        raise TransformError(f"tra elimination: unhandled active case {n.rule.value}")
 
     return _drop_atom(P, comp, read)
 
@@ -658,23 +631,15 @@ def _nd_step(P: LabelledDerivation, removed: DomAtom, src: DomAtom) -> LabelledD
 
     def read(n: LabelledDerivation, target, drop):
         w = n.witness
-        if n.rule in (Rule.ID, Rule.ID_Q) and w.rel is not None:
+        if n.rule is Rule.ID_Q:
             # the atom's parameters must be in the domain of its label
             (pw, pf) = w.principal
             if removed.w == pw and removed.a in pf.args:
-                return _id_star_lift(target, w)
+                return _starred_lift(target, n.rule, w)
         if w.dom != removed:
             return None
         if n.rule is Rule.FORALL_L:
-            (pw, pf) = w.principal
-            inst = substitute_param(pf.body, removed.a, pf.var)
-            p = _weaken(drop(n.premises[0]), ante=[(pw, inst)])
-            c1 = p.conclusion.remove(ante=[(w.rel.v, inst)])
-            s1 = LabelledDerivation(c1, Rule.LIFT, (p,),
-                                    Witness(principal=(pw, inst), rel=w.rel))
-            c2 = c1.remove(ante=[(pw, inst)])
-            return LabelledDerivation(c2, Rule.FORALL_L_STAR, (s1,),
-                                      Witness(principal=w.principal, dom=src))
+            return _forall_l_star(target, w, drop(n.premises[0]), src)
         if n.rule in (Rule.FORALL_L_STAR, Rule.EXISTS_R, Rule.EXISTS_R_STAR):
             star = Rule.FORALL_L_STAR if n.rule is Rule.FORALL_L_STAR else Rule.EXISTS_R_STAR
             return LabelledDerivation(target, star, (drop(n.premises[0]),),
@@ -686,16 +651,32 @@ def _nd_step(P: LabelledDerivation, removed: DomAtom, src: DomAtom) -> LabelledD
     return _drop_atom(P, removed, read)
 
 
-def _id_star_lift(concl: LabelledSequent, w: Witness) -> LabelledDerivation:
-    """concl from the id or id_q witness w (w:P => v:P with w<=v): id* (id_q*
-    on an atom with arguments) at v, then a lift of P from w up to v."""
-    (wl, pf) = w.principal
-    (vl, _) = w.formula
-    leaf_rule = Rule.ID_STAR if not pf.args else Rule.ID_Q_STAR
-    leaf = LabelledDerivation(concl.add(ante=[(vl, pf)]), leaf_rule, (),
-                              Witness(principal=(vl, pf), formula=(vl, pf)))
-    return LabelledDerivation(concl, Rule.LIFT, (leaf,),
+def _starred_lift(concl: LabelledSequent, rule: Rule, w: Witness,
+                  prem=()) -> LabelledDerivation:
+    """concl from the inference (rule, w) of a relational row with a
+    starred twin (id, id_q, imp_l), which reads w<=v, on the premises prem:
+    the starred twin at v, on prem weakened by v:A, then a lift of the
+    principal w:A up to v."""
+    up = (w.rel.v, w.principal[1])
+    star = LabelledDerivation(concl.add(ante=[up]), _STARRED[rule],
+                              tuple(_weaken(p, ante=[up]) for p in prem),
+                              Witness(principal=up, formula=w.formula))
+    return LabelledDerivation(concl, Rule.LIFT, (star,),
                               Witness(principal=w.principal, rel=w.rel))
+
+
+def _forall_l_star(concl: LabelledSequent, w: Witness, prem: LabelledDerivation,
+                   dom: DomAtom) -> LabelledDerivation:
+    """concl from the forall_l witness w (w:forall x.A, w<=v, a in D(v)) on
+    the premise prem, which holds v:A(a): forall_l* at w, naming a by the
+    domain atom `dom`, over a lift of A(a) from w up to v."""
+    (wl, f) = w.principal
+    inst = (wl, substitute_param(f.body, w.dom.a, f.var))
+    p = _weaken(prem, ante=[inst])
+    lift = LabelledDerivation(p.conclusion.remove(ante=[(w.rel.v, inst[1])]), Rule.LIFT, (p,),
+                              Witness(principal=inst, rel=w.rel))
+    return LabelledDerivation(concl, Rule.FORALL_L_STAR, (lift,),
+                              Witness(principal=w.principal, dom=dom))
 
 
 # ---------------------------------------------------------------------------
@@ -740,52 +721,25 @@ def _expand(d: LabelledDerivation) -> LabelledDerivation:
         prem = tuple(go(p) for p in n.premises)
 
         if n.rule is Rule.BOT_L:
-            (wl, _) = w.principal
-            pair = conv(Bot())
-            p0 = pair.left
-            occ_pair = (wl, pair)
-            leaf_c = concl.remove(ante=[occ_pair]).add(
-                ante=[(wl, p0), (wl, Neg(p0))], succ=[(wl, p0)]
-            )
-            leaf = LabelledDerivation(leaf_c, Rule.ID_STAR, (),
-                                      Witness(principal=(wl, p0), formula=(wl, p0)))
-            c_neg = leaf_c.remove(succ=[(wl, p0)])
-            negl = LabelledDerivation(c_neg, Rule.NEG_L, (leaf,),
-                                      Witness(principal=(wl, Neg(p0))))
-            return LabelledDerivation(concl, Rule.AND_L, (negl,),
-                                      Witness(principal=occ_pair))
-        if n.rule in (Rule.ID, Rule.ID_Q):
-            return _id_star_lift(concl, w)
-        if n.rule is Rule.IMP_L:
-            (wl, pf) = w.principal
-            vl = w.rel.v
-            occ_v = (vl, pf)
-            p0 = _weaken(prem[0], ante=[occ_v])
-            p1 = _weaken(prem[1], ante=[occ_v])
-            c_star = concl.add(ante=[occ_v])
-            star = LabelledDerivation(c_star, Rule.IMP_L_STAR, (p0, p1),
-                                      Witness(principal=occ_v))
-            return LabelledDerivation(concl, Rule.LIFT, (star,),
-                                      Witness(principal=w.principal, rel=w.rel))
+            # false is p0 & ~p0: and_l, then neg_l on ~p0, then id* on p0
+            occ = w.principal
+            p0, neg = (occ[0], occ[1].left), (occ[0], occ[1].right)
+            leaf_c = concl.remove(ante=[occ]).add(ante=[p0, neg], succ=[p0])
+            leaf = LabelledDerivation(leaf_c, Rule.ID_STAR, (), Witness(principal=p0, formula=p0))
+            negl = LabelledDerivation(leaf_c.remove(succ=[p0]), Rule.NEG_L, (leaf,),
+                                      Witness(principal=neg))
+            return LabelledDerivation(concl, Rule.AND_L, (negl,), Witness(principal=occ))
+        if n.rule in (Rule.ID, Rule.ID_Q, Rule.IMP_L):
+            return _starred_lift(concl, n.rule, w, prem)
         if n.rule is Rule.FORALL_L:
-            (wl, pf) = w.principal
-            vl = w.rel.v
-            inst = substitute_param(pf.body, w.dom.a, pf.var)
-            p = _weaken(prem[0], ante=[(wl, inst)])
-            c1 = p.conclusion.remove(ante=[(vl, inst)])
-            s1 = LabelledDerivation(c1, Rule.LIFT, (p,),
-                                    Witness(principal=(wl, inst), rel=w.rel))
-            return LabelledDerivation(concl, Rule.FORALL_L_STAR, (s1,),
-                                      Witness(principal=w.principal, dom=w.dom))
+            return _forall_l_star(concl, w, prem[0], w.dom)
         if n.rule is Rule.FORALL_R:
             # the eigenlabel is fresh, so collapsing it onto the principal
             # label leaves the context untouched
-            (wl, pf) = w.principal
-            vl, a = w.label, w.param
-            p = _substitute(prem[0], "label", wl, vl)
-            p = _ref_step(p, RelAtom(wl, wl))
+            wl = w.principal[0]
+            p = _ref_step(_substitute(prem[0], "label", wl, w.label), RelAtom(wl, wl))
             return LabelledDerivation(concl, Rule.FORALL_R_STAR, (p,),
-                                      Witness(principal=w.principal, param=a))
+                                      Witness(principal=w.principal, param=w.param))
         if n.rule is Rule.EXISTS_R:
             return LabelledDerivation(concl, Rule.EXISTS_R_STAR, prem,
                                       Witness(principal=w.principal, dom=w.dom))

@@ -153,6 +153,24 @@ def test_fuzz_soundness(capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("calc, depth, goal", [
+    ("g3int", "12", "~~(p | ~p)"), ("nint-star", "10", "false -> p"),
+    ("g3int", "8", "w: ~p => w: p -> false"),
+])
+def test_prove_converts_the_goal_to_the_calculus(tmp_path, capsys, calc, depth, goal):
+    # g3int has no neg_r and nint-star no bot_l: the goal is converted
+    out = tmp_path / "proof.json"
+    assert run(["prove", "--calc", calc, "--depth", depth, goal, "-o", str(out)]) == 0
+    assert run(["check", str(out)]) == 0
+
+
+@pytest.mark.parametrize("calc", ["nint-star", "g3int-tree"])
+def test_fuzz_soundness_proves_every_default_goal(capsys, calc):
+    assert run(["fuzz-soundness", "--calc", calc, "--models", "10", "--max-worlds", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "unproved" not in out and "fuzz: 5 proved goals" in out
+
+
 def test_missing_file_is_input_error(capsys):
     assert run(["check", "/nonexistent/proof.json"]) == 2
 

@@ -25,6 +25,7 @@ from intcalc.search import (
     SearchConfig,
     decide_prop,
     find_countermodel,
+    goal_for,
     prove,
 )
 from test_acceptance import _layer_formulas
@@ -136,6 +137,28 @@ def test_decide_prop_never_both():
         assert dec.verdict in ("theorem", "countermodel", "undecided")
 
 
+def test_decide_prop_searches_once(monkeypatch):
+    calls = []
+    real = intcalc.search.prove
+
+    def counting(goal, cfg):
+        calls.append(cfg.depth_bound)
+        return real(goal, cfg)
+
+    monkeypatch.setattr(intcalc.search, "prove", counting)
+    for text in ("~~(p | ~p)", "((p -> q) -> p) -> p"):
+        calls.clear()
+        decide_prop(parse_formula(text), 1, SearchConfig("nint-star", 12))
+        assert calls == [12], text
+
+
+def test_decide_prop_converts_false_for_the_tree_calculus():
+    # g3int-tree has no bot_l: false -> p is decided as p0 & ~p0 -> p
+    dec = decide_prop(parse_formula("false -> p"), 1, SearchConfig("g3int-tree", 12))
+    assert dec.verdict == "theorem"
+    assert dec.proof.conclusion == goal_for(parse_formula("false -> p"), "g3int-tree")
+
+
 def test_find_countermodel_weak_em():
     cm = find_countermodel(parse_formula("~p | ~~p"), 4)
     assert cm is not None
@@ -238,6 +261,34 @@ def calculus_goal(text, calc):
     if calc in CALCULI:
         return LabelledSequent(succ=((Label("w"), f),))
     return NestedSequent(succ=(f,))
+
+
+@pytest.mark.parametrize("calc", sorted(CALCULI) + sorted(NESTED_CALCULI))
+def test_goal_for_reads_the_signature_off_the_rule_set(calc):
+    for text in THEOREMS + NON_THEOREMS:
+        assert goal_for(parse_formula(text), calc) == calculus_goal(text, calc), text
+    # a formula already in the signature is kept as it is
+    f = parse_formula("(p -> q) & r")
+    g = goal_for(f, calc)
+    assert (g.succ[0][1] if calc in CALCULI else g.succ[0]) is f
+
+
+def test_goal_for_converts_sequents():
+    s = goal_for(parse_sequent("w<=v, w: ~p => v: false"), "g3int")
+    assert s == parse_sequent("w<=v, w: p -> false => v: false")
+    n = goal_for(parse_nested("false -> [~p -> false]"), "nint-star")
+    assert n == parse_nested("p0 & ~p0 -> [~p -> p0 & ~p0]")
+    with pytest.raises(SequentError, match="unknown calculus"):
+        goal_for(parse_formula("p"), "g4ip")
+
+
+@pytest.mark.parametrize("calc, text, depth", [
+    ("g3int", "~~(p | ~p)", 12), ("nint-star", "false -> p", 10),
+    ("g3int-tree", "false -> p", 10),
+])
+def test_converted_goals_are_proved(calc, text, depth):
+    d = prove(goal_for(parse_formula(text), calc), SearchConfig(calc, depth))
+    assert d is not None and checks(calc, d)
 
 
 def checks(calc, d):

@@ -384,28 +384,112 @@ def test_eliminate_ref_no_op():
         assert d1 is d or d1.conclusion == d.conclusion
 
 
+def _node(text, rule, prem=(), **witness):
+    return LabelledDerivation(parse_sequent(text), rule, tuple(prem), Witness(**witness))
+
+
+def _tra(end, above):
+    """tra adding w<=u to `end`, which holds w<=v and v<=u, below `above`."""
+    return LabelledDerivation(parse_sequent(end), Rule.TRA, (above,),
+                              Witness(rel=RelAtom(w, v), rel2=RelAtom(v, u)))
+
+
+r_a, wu = Atom("r", (Param("a"),)), RelAtom(w, u)
+f_imp, f_all = parse_formula("p -> q"), parse_formula("forall x. r(x)")
+f_some = parse_formula("exists x. r(x)")
+_IMP = "w<=v, v<=u, w<=u, w: p -> q, u: p"
+_ALL = "w<=v, v<=u, w<=u, a in D(u), w: forall x. r(x)"
+_ND = "w<=v, v<=u, w<=u, a in D(w)"
+_CD = "w<=v, v<=u, w<=u, a in D(u)"
+
+# a tra inference right below each rule that can read its composite w<=u:
+# (calculus, builder)
+TRA_CASES = {
+    "id": ("g3int", lambda: _tra(
+        "w<=v, v<=u, w: p => u: p",
+        _node("w<=v, v<=u, w<=u, w: p => u: p", Rule.ID,
+              principal=(w, p), formula=(u, p), rel=wu))),
+    "id_q": ("g3intqc", lambda: _tra(
+        "w<=v, v<=u, a in D(w), w: r(#a) => u: r(#a)",
+        _node("w<=v, v<=u, w<=u, a in D(w), w: r(#a) => u: r(#a)", Rule.ID_Q,
+              principal=(w, r_a), formula=(u, r_a), rel=wu))),
+    "imp_l": ("g3int-ext", lambda: _tra(
+        "w<=v, v<=u, w: p -> q, u: p => u: q",
+        _node(f"{_IMP} => u: q", Rule.IMP_L, (
+            _node(f"{_IMP} => u: q, u: p", Rule.ID_STAR, principal=(u, p), formula=(u, p)),
+            _node(f"{_IMP}, u: q => u: q", Rule.ID_STAR, principal=(u, q), formula=(u, q)),
+        ), principal=(w, f_imp), rel=wu))),
+    "forall_l": ("intqcl", lambda: _tra(
+        "w<=v, v<=u, a in D(u), w: forall x. r(x) => u: r(#a)",
+        _node(f"{_ALL} => u: r(#a)", Rule.FORALL_L, (
+            _node(f"{_ALL}, u: r(#a) => u: r(#a)", Rule.ID_Q_STAR,
+                  principal=(u, r_a), formula=(u, r_a)),
+        ), principal=(w, f_all), rel=wu, dom=DomAtom(Param("a"), u)))),
+    "lift": ("g3int-ext", lambda: _tra(
+        "w<=v, v<=u, w: p => u: p",
+        _node("w<=v, v<=u, w<=u, w: p => u: p", Rule.LIFT, (
+            _node("w<=v, v<=u, w<=u, w: p, u: p => u: p", Rule.ID_STAR,
+                  principal=(u, p), formula=(u, p)),
+        ), principal=(w, p), rel=wu))),
+    "nd": ("intqcl", lambda: _tra(
+        "w<=v, v<=u, a in D(w), u: r(#a) => u: exists x. r(x)",
+        _node(f"{_ND}, u: r(#a) => u: exists x. r(x)", Rule.ND, (
+            _node(f"{_ND}, a in D(u), u: r(#a) => u: exists x. r(x)", Rule.EXISTS_R, (
+                _node(f"{_ND}, a in D(u), u: r(#a) => u: exists x. r(x), u: r(#a)",
+                      Rule.ID_Q_STAR, principal=(u, r_a), formula=(u, r_a)),
+            ), principal=(u, f_some), dom=DomAtom(Param("a"), u)),
+        ), rel=wu, dom=DomAtom(Param("a"), w)))),
+    "cd": ("intqcl", lambda: _tra(
+        "w<=v, v<=u, a in D(u), w: r(#a) => w: exists x. r(x)",
+        _node(f"{_CD}, w: r(#a) => w: exists x. r(x)", Rule.CD, (
+            _node(f"{_CD}, a in D(w), w: r(#a) => w: exists x. r(x)", Rule.EXISTS_R, (
+                _node(f"{_CD}, a in D(w), w: r(#a) => w: exists x. r(x), w: r(#a)",
+                      Rule.ID_Q_STAR, principal=(w, r_a), formula=(w, r_a)),
+            ), principal=(w, f_some), dom=DomAtom(Param("a"), w)),
+        ), rel=wu, dom=DomAtom(Param("a"), u)))),
+}
+
+# (nodes, height, rule digest) of eliminate_structural's output on each
+TRA_SHAPES = {
+    "id": (3, 3, "7870205c745d"),
+    "id_q": (3, 3, "913814ff2092"),
+    "imp_l": (5, 4, "de4a51d83289"),
+    "forall_l": (4, 4, "14c2e21bd3ad"),
+    "lift": (3, 3, "7870205c745d"),
+    "nd": (2, 2, "6a51c08d02e0"),
+    "cd": (2, 2, "d1490ee6accb"),
+}
+
+
 def _tra_above_id():
-    # tra with the composite atom principal in id
-    leaf = LabelledDerivation(
-        parse_sequent("w<=v, v<=u, w<=u, w: p => u: p"),
-        Rule.ID, (),
-        Witness(principal=(w, p), formula=(u, p), rel=RelAtom(w, u)),
-    )
-    return LabelledDerivation(
-        parse_sequent("w<=v, v<=u, w: p => u: p"), Rule.TRA, (leaf,),
-        Witness(rel=RelAtom(w, v), rel2=RelAtom(v, u)),
-    )
+    return TRA_CASES["id"][1]()
+
+
+@pytest.mark.parametrize("name", list(TRA_CASES))
+def test_eliminate_tra_over_each_reading_rule(name):
+    calc, build = TRA_CASES[name]
+    d = build()
+    assert check_derivation(calc, d)[0]
+    ambient = "intqcl" if calc in ("g3intqc", "intqcl") else "g3int-ext"
+    d2 = eliminate_tra(d, ambient)
+    assert all(n.rule is not Rule.TRA for n in d2.nodes())
+    assert d2.conclusion == d.conclusion
+    out, _ = eliminate_structural(d, calc)
+    assert (sum(1 for _ in out.nodes()), out.height(), _rule_digest(out)) == TRA_SHAPES[name]
 
 
 def test_eliminate_tra_above_id():
-    # id* plus two lifts
+    # id at v, reading v<=u, under one lift by w<=v; the expansion makes it
+    # id* at u under a second lift, by v<=u
     tra = _tra_above_id()
     d2 = eliminate_tra(tra, "g3int-ext")
-    assert all(n.rule is not Rule.TRA for n in d2.nodes())
     assert d2.conclusion == tra.conclusion
     assert check_derivation("g3int-ext", d2)[0]
-    rules = [n.rule for n in d2.nodes()]
-    assert rules.count(Rule.LIFT) == 2 and Rule.ID_STAR in rules
+    assert [(n.rule, n.witness.principal) for n in d2.nodes()] == [
+        (Rule.LIFT, (w, p)), (Rule.ID, (v, p))]
+    d3 = expand_derived_rules(d2, "g3int-tree")
+    assert [(n.rule, n.witness.principal) for n in d3.nodes()] == [
+        (Rule.LIFT, (w, p)), (Rule.LIFT, (v, p)), (Rule.ID_STAR, (u, p))]
 
 
 def _nd_under_id_q():
