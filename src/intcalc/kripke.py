@@ -6,6 +6,13 @@ This module is the semantic oracle: proof machinery elsewhere is fuzzed
 against `satisfies` / `labelled_sequent_holds`.  Propositional formulas are
 evaluated over whole families of models at once, as bitmasks (`_Family`);
 `satisfies_reference` keeps the recursive forcing clauses.
+
+Sequent truth works on world sets, not on label assignments: each
+formula of a labelled sequent gets the bitmask of the worlds where it
+holds, each label the worlds where it could sit in a counterexample, and
+the relational atoms prune those sets before a search places the labels
+one by one along them; on a treelike sequent that search never
+backtracks.  A nested sequent is read as its labelled image (`labelify`).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .formula import (
     Or,
     Param,
     Var,
+    params_of,
 )
 
 World = str
@@ -285,9 +293,18 @@ class _Family:
     @classmethod
     def of_model(cls, m: KripkeModel) -> "_Family":
         """Compile a model that belongs to no enumerated family on its own."""
-        worlds = list(m.worlds)
-        index = {w: i for i, w in enumerate(worlds)}
-        ups = [0] * len(worlds)
+        fam = cls.laid_out(m)
+        object.__setattr__(m, "_fam", fam)
+        object.__setattr__(m, "_cell", fam.cell)
+        object.__setattr__(m, "_pos", {w: i for i, w in enumerate(sorted(m.worlds))})
+        return fam
+
+    @classmethod
+    def laid_out(cls, m: KripkeModel) -> "_Family":
+        """m as a family of one, position i its i-th world in sorted order,
+        attached to nothing."""
+        index = {w: i for i, w in enumerate(sorted(m.worlds))}
+        ups = [0] * len(index)
         for (w, v) in m.leq:
             ups[index[w]] |= 1 << index[v]
         names = sorted(name for (name, args) in m.valuation if not args)
@@ -297,11 +314,7 @@ class _Family:
             for w in m.valuation[(name, ())]:
                 mask |= 1 << index[w]
             vals.append(mask)
-        fam = cls([(tuple(ups), tuple(vals))], names, single=True)
-        object.__setattr__(m, "_fam", fam)
-        object.__setattr__(m, "_cell", fam.cell)
-        object.__setattr__(m, "_pos", index)
-        return fam
+        return cls([(tuple(ups), tuple(vals))], names, single=True)
 
     def truth(self, f: Formula) -> int:
         """The positions where propositional f holds."""
@@ -436,25 +449,158 @@ def labelled_sequent_holds(m: KripkeModel, s) -> bool:
     assignments iota: whenever every relational atom w<=v has
     rho(w) leq rho(v) (domain atoms are vacuous under constant domains),
     some antecedent formula fails or some succedent formula holds.
+
+    So the sequent fails exactly when, under some iota, the labels can be
+    placed along the relational atoms each at a world where all of its
+    antecedent formulas hold and all of its succedent formulas fail.  For
+    each iota that search runs on bitmasks over the sorted worlds:
+
+    - the truth set of each distinct formula, bottom-up on m laid out as a
+      `_Family` for a propositional formula, by `satisfies_reference` at
+      each world for any other;
+    - each label's candidates, the AND of its antecedent sets and of the
+      complements of its succedent sets;
+    - arc consistency: along each relational atom w<=v, keep only the
+      candidates of w below some candidate of v and those of v above some
+      candidate of w, until nothing changes; an empty set means no
+      counterexample under iota;
+    - backtracking over each connected part of the relational atoms, the
+      labels in a walk order, so that each label after the first is
+      related to one placed before it; its choices are its candidates
+      within the up- or down-sets of the worlds of its placed neighbours.
+
+    When a part is a tree (every nested sequent, every proof node after
+    elimination), each label has one placed neighbour, and arc consistency
+    leaves each of that neighbour's worlds a choice for it: the search
+    never backtracks (Freuder, "A sufficient condition for backtrack-free
+    search", JACM 1982), and costs a pass over the labels.
+
+    Domain atoms stay vacuous: their labels and parameters are quantified
+    like any other, and they constrain no placement.
     """
-    labels = sorted(s.labels(), key=lambda l: l.name)
     params = sorted(s.params(), key=lambda p: p.name)
-    worlds = sorted(m.worlds)
     if params and not m.domain:
         raise ModelError("sequent has parameters but the model domain is empty")
-    dom = m.domain or ("*",)
-    for rho_tuple in itertools.product(worlds, repeat=len(labels)):
-        rho = dict(zip(labels, rho_tuple))
-        if not all((rho[r.w], rho[r.v]) in m.leq for r in s.rel):
-            continue
-        for iota_tuple in itertools.product(dom, repeat=len(params)):
-            env = dict(zip(params, iota_tuple))
-            ante_ok = all(satisfies(m, rho[w], f, env) for (w, f) in s.ante)
-            if not ante_ok:
-                continue
-            if not any(satisfies(m, rho[w], f, env) for (w, f) in s.succ):
-                return False
+    fam = m._fam
+    if fam is None:
+        fam = _Family.of_model(m)
+    elif not fam.single:
+        # an enumerated model's family spans the whole enumeration: lay the
+        # model out alone, without re-attaching it, which would cut it off
+        # from that family's `satisfies` cache
+        fam = _Family.laid_out(m)
+    worlds = sorted(m.worlds)
+    ups = fam.layout[0][0]
+    downs = [sum(1 << i for i, u in enumerate(ups) if u >> j & 1) for j in range(len(ups))]
+    labels = sorted(s.labels(), key=lambda l: l.name)
+    index = {l: k for k, l in enumerate(labels)}
+    edges = [(index[r.w], index[r.v]) for r in s.rel if r.w != r.v]
+    parts = _walk_orders(len(labels), edges)
+
+    truth: dict = {}  # formula -> the worlds where it holds, if iota-free
+    memo: dict = {}
+    for _, f in s.ante + s.succ:
+        if f not in truth and not params_of(f):
+            truth[f] = (fam._eval(f, memo) if _propositional(f) else
+                        _truth_mask(m, worlds, f, None))
+    for iota in itertools.product(m.domain or ("*",), repeat=len(params)):
+        env = dict(zip(params, iota))
+
+        def mask(f):
+            got = truth.get(f)
+            return got if got is not None else _truth_mask(m, worlds, f, env)
+
+        cand = [fam.full] * len(labels)
+        for w, f in s.ante:
+            cand[index[w]] &= mask(f)
+        for w, f in s.succ:
+            cand[index[w]] &= ~mask(f)
+        if (_arc_consistent(cand, edges, ups, downs)
+                and all(_placeable(order, cand, ups, downs) for order in parts)):
+            return False
     return True
+
+
+def _truth_mask(m: KripkeModel, worlds, f: Formula, env) -> int:
+    return sum(1 << i for i, w in enumerate(worlds) if satisfies_reference(m, w, f, env))
+
+
+def _union(mask: int, table) -> int:
+    """The union of table[i] over the positions i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _arc_consistent(cand: list, edges, ups, downs) -> bool:
+    """Narrow cand along the edges (a, b), a's world at or below b's,
+    until nothing changes; False when some label has no candidate."""
+    if not all(cand):
+        return False
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            ca = cand[a] & _union(cand[b], downs)
+            cb = cand[b] & _union(ca, ups)
+            if not (ca and cb):
+                return False
+            if ca != cand[a] or cb != cand[b]:
+                cand[a], cand[b] = ca, cb
+                changed = True
+    return True
+
+
+def _walk_orders(n: int, edges) -> list:
+    """The connected parts of the labels 0..n-1 under the edges, each a
+    walk order: (label, [(placed neighbour, whether the label sits below
+    it)]), every label after a part's first related to a placed one."""
+    near: list[list] = [[] for _ in range(n)]
+    for a, b in edges:
+        near[a].append((b, True))
+        near[b].append((a, False))
+    placed_at = [-1] * n
+    parts = []
+    for start in range(n):
+        if placed_at[start] >= 0:
+            continue
+        walk = [start]
+        placed_at[start] = 0
+        for k in walk:
+            for j, _ in near[k]:
+                if placed_at[j] < 0:
+                    placed_at[j] = len(walk)
+                    walk.append(j)
+        parts.append([(k, [(j, below) for j, below in near[k] if placed_at[j] < placed_at[k]])
+                      for k in walk])
+    return parts
+
+
+def _placeable(order, cand, ups, downs) -> bool:
+    """Whether the labels of one walk order can each be placed at one of
+    their candidates, related to the placed labels as the edges say."""
+    rho = {}
+    choices = [cand[order[0][0]]]
+    while choices:
+        left = choices[-1]
+        if not left:
+            choices.pop()
+            continue
+        low = left & -left
+        choices[-1] = left ^ low
+        k = len(choices)
+        rho[order[k - 1][0]] = low.bit_length() - 1
+        if k == len(order):
+            return True
+        label, placed = order[k]
+        c = cand[label]
+        for j, below in placed:
+            c &= downs[rho[j]] if below else ups[rho[j]]
+        choices.append(c)
+    return False
 
 
 def nested_sequent_holds(m: KripkeModel, s) -> bool:

@@ -180,6 +180,8 @@ def test_exit_code_matrix(tmp_path, capsys):
     proof = tmp_path / "p.json"
     model = tmp_path / "m.txt"
     model.write_text("worlds: w\n")
+    chain = tmp_path / "chain.txt"
+    chain.write_text("worlds: w0 w1 w2 w3\nleq: w0 <= w1, w1 <= w2, w2 <= w3\nval: p @ w3\n")
     node = {"sequent": " => w: p -> p", "rule": "imp_r", "witness": {}, "premises": []}
     nnode = {**node, "sequent": " -> p -> p", "hole": []}
     malformed = []
@@ -226,6 +228,8 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["model-eval", str(model), "p -> p"], 0),
         (["model-eval", str(model), "p"], 1),
         (["model-eval", str(tmp_path / "absent.txt"), "p"], 2),
+        # 31 labels: 4**31 label assignments
+        (["model-eval", str(chain), " -> [" * 30 + "p -> p" + "]" * 30], 0),
         (["eliminate", str(proof)], 0),
         (["eliminate", str(tmp_path / "absent.json")], 2),
         (["eliminate", str(proof), "--calc", "bogus"], 2),

@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from intcalc.formula import And, Atom, Bot, Impl, Neg, Or, Param, atoms_of, parse_formula
+from intcalc.formula import (
+    And, Atom, Bot, Exists, Forall, Impl, Neg, Or, Param, Var, atoms_of, parse_formula,
+)
+from intcalc.graph import labelify
 from intcalc.kripke import (
     BudgetExceeded,
     _closure,
@@ -19,8 +22,8 @@ from intcalc.kripke import (
     satisfies,
     satisfies_reference,
 )
-from intcalc.labelled import parse_sequent
-from intcalc.nested import parse_nested
+from intcalc.labelled import DomAtom, Label, LabelledSequent, RelAtom, parse_sequent
+from intcalc.nested import NestedSequent, parse_nested
 
 
 def two_chain(p_at=("v",)):
@@ -124,6 +127,145 @@ def test_nested_agrees_with_labelled_on_translation():
     for m in enumerate_models(2, ["p", "q"]):
         for s in sigmas:
             assert nested_sequent_holds(m, s) == labelled_sequent_holds(m, labelify(s))
+
+
+# ---------------------------------------------------------------------------
+# sequent truth against the product over every label assignment
+
+
+def _labelled_holds_reference(m, s):
+    # the quantifiers read literally: every assignment of the labels to
+    # worlds that respects the relational atoms, every parameter assignment
+    labels = sorted(s.labels(), key=lambda l: l.name)
+    params = sorted(s.params(), key=lambda p: p.name)
+    if params and not m.domain:
+        raise ModelError("sequent has parameters but the model domain is empty")
+    for rho_tuple in itertools.product(sorted(m.worlds), repeat=len(labels)):
+        rho = dict(zip(labels, rho_tuple))
+        if not all((rho[r.w], rho[r.v]) in m.leq for r in s.rel):
+            continue
+        for iota_tuple in itertools.product(m.domain or ("*",), repeat=len(params)):
+            env = dict(zip(params, iota_tuple))
+            if (all(satisfies_reference(m, rho[w], f, env) for (w, f) in s.ante)
+                    and not any(satisfies_reference(m, rho[w], f, env) for (w, f) in s.succ)):
+                return False
+    return True
+
+
+def _outcome(holds, m, s):
+    try:
+        return holds(m, s)
+    except ModelError as e:
+        return str(e)
+
+
+_A, _B = Param("a"), Param("b")
+_X = Var("x")
+
+
+def _sequent_formulas():
+    # propositional, with parameters, and quantified without parameters
+    base = st.sampled_from([Atom("p"), Atom("q"), Bot(), Atom("r", (_A,)), Atom("r", (_B,))])
+
+    def extend(children):
+        return st.one_of(
+            children.map(Neg),
+            st.tuples(children, children).map(lambda t: And(*t)),
+            st.tuples(children, children).map(lambda t: Or(*t)),
+            st.tuples(children, children).map(lambda t: Impl(*t)),
+        )
+
+    quantified = st.sampled_from([
+        Forall(_X, Atom("r", (_X,))), Exists(_X, And(Atom("r", (_X,)), Atom("p"))),
+        Impl(Exists(_X, Atom("r", (_X,))), Atom("q")),
+    ])
+    return st.one_of(base, st.recursive(base, extend, max_leaves=5), quantified)
+
+
+_LABELS = [Label(f"l{i}") for i in range(4)]
+
+
+@st.composite
+def _labelled_sequents(draw):
+    # up to four labels; relational atoms drawn freely, so self-loops and
+    # cycles occur, and a label may occur only in a relational or domain atom
+    label = st.sampled_from(_LABELS)
+    rel = draw(st.lists(st.tuples(label, label).map(lambda t: RelAtom(*t)), min_size=1, max_size=5))
+    dom = draw(st.lists(st.tuples(st.sampled_from([_A, _B]), label)
+                        .map(lambda t: DomAtom(*t)), max_size=2))
+    # a few formulas shared by the labels, as in the conclusions of proofs,
+    # each at each label on one side or none
+    pool = draw(st.lists(_sequent_formulas(), min_size=1, max_size=3))
+    ante, succ = [], []
+    for w in _LABELS:
+        for f in pool:
+            side = draw(st.sampled_from((None, ante, succ)))
+            if side is not None:
+                side.append((w, f))
+    return LabelledSequent(tuple(rel), tuple(dom), tuple(ante), tuple(succ))
+
+
+@st.composite
+def _nested_sequents(draw):
+    # up to five nodes, node i > 0 a child of an earlier node
+    n = draw(st.integers(1, 5))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    pool = draw(st.lists(_sequent_formulas(), min_size=1, max_size=3))
+    formulas = st.lists(st.sampled_from(pool), max_size=2)
+    sides = [(draw(formulas), draw(formulas)) for _ in range(n)]
+    nodes = [None] * n
+    for i in reversed(range(n)):
+        kids = tuple(nodes[j] for j in range(i + 1, n) if parent[j] == i)
+        nodes[i] = NestedSequent(tuple(sides[i][0]), tuple(sides[i][1]), kids)
+    return nodes[0]
+
+
+def _models(seed):
+    # four random models of 1-5 worlds with a unary r on a domain of 1-2
+    # individuals, and every 91st model of an exhaustive family (`_FAMILY`)
+    return list(enumerate_models(5, ["p", "q", "r"], domain_size=1 + seed % 2, mode="random",
+                                 seed=seed, count=4, arity={"r": 1})) + _FAMILY[seed % 91::91]
+
+
+@given(_labelled_sequents(), st.integers(0, 2**16))
+@example(parse_sequent("l0<=l1, l1: p => l0: p"), 0)
+@settings(max_examples=200, deadline=None)
+def test_labelled_sequent_holds_matches_the_product(s, seed):
+    for m in _models(seed):
+        assert _outcome(labelled_sequent_holds, m, s) == _outcome(_labelled_holds_reference, m, s)
+
+
+@given(_nested_sequents(), st.integers(0, 2**16))
+@example(parse_nested(" -> p, [p -> ]"), 0)
+@settings(max_examples=100, deadline=None)
+def test_nested_sequent_holds_matches_the_product(s, seed):
+    for m in _models(seed):
+        assert (_outcome(nested_sequent_holds, m, s)
+                == _outcome(_labelled_holds_reference, m, labelify(s)))
+
+
+def _chain_with_p_at_top():
+    return load_model("worlds: w0 w1 w2 w3\nleq: w0 <= w1, w1 <= w2, w2 <= w3\nval: p @ w3\n")
+
+
+def test_hostile_sizes_answer_at_once():
+    # 31 and 30 labels: 4**31 and 4**30 label assignments on four worlds
+    m = _chain_with_p_at_top()
+    assert nested_sequent_holds(m, parse_nested(" -> [" * 30 + "p -> p" + "]" * 30))
+    assert not nested_sequent_holds(m, parse_nested(" -> [" * 30 + " -> p" + "]" * 30))
+    flat = ", ".join(f"x{i}: p" for i in range(30))
+    assert labelled_sequent_holds(m, parse_sequent(f"{flat} => x0: p"))
+    assert not labelled_sequent_holds(m, parse_sequent(f"{flat} => x0: q"))
+
+
+def test_arc_consistency_prunes_a_wide_tree():
+    # a root with 12 unconstrained children; the last child forces p, so
+    # its own child, which must refute p above it, has nowhere to sit:
+    # placing the children in turn would try 4**11 assignments first
+    m = _chain_with_p_at_top()
+    rel = ", ".join(f"r<=c{i}" for i in range(12))
+    assert labelled_sequent_holds(m, parse_sequent(f"{rel}, c11<=g, c11: p => g: p"))
+    assert not labelled_sequent_holds(m, parse_sequent(f"{rel}, c11<=g, c11: p => g: q"))
 
 
 def test_enumerate_one_world_one_atom():
