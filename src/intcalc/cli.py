@@ -36,6 +36,9 @@ from .search import SearchConfig, check_proof, find_countermodel, goal_for, prov
 from .transform import TransformError, eliminate_structural, proof_to_nested
 
 OK, NEGATIVE, INPUT_ERROR, INTERNAL = 0, 1, 2, 3
+DEPTH_HELP = ("steps allowed along a branch that create a world (imp_r, neg_r, the "
+              "labelled forall_r) or an eigenparameter (exists_l, forall_r_star, the "
+              "nested forall_r); no other step counts against it")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -276,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "false to p0 & ~p0 where it has no bot_l")
     p.add_argument("--calc", default="g3int",
                    choices=sorted(CALCULI) + sorted(NESTED_CALCULI))
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=12, help=DEPTH_HELP)
     p.add_argument("--parameter-budget", type=int, default=1,
                    help="fresh parameters a branch may bring in; read only by "
                         "the nested calculi (nint, nintqc and their star forms)")
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="file with one goal per line")
     p.add_argument("--calc", default="g3int",
                    choices=sorted(CALCULI) + sorted(NESTED_CALCULI))
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=12, help=DEPTH_HELP)
     p.add_argument("--models", type=int, default=100)
     p.add_argument("--max-worlds", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

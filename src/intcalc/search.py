@@ -4,12 +4,13 @@ countermodel extraction.
 One search loop (`_Search._search`) serves both notations, since the
 paper's nested calculi are a notation for treelike labelled sequents with
 the same rules and the same search.  A notation supplies only its rule
-groups, its instance enumeration (built with `premises_for` or
-`nested_premises_for`), the content the eigen block records at a
-world-creating step and the derivation node it builds.  Its extras are
-hooks of that notation: the labelled search tries copy targets deep in
-the relational order first; the nested search counts the fresh parameters
-a branch has brought in against parameter_budget.  The rule groups, the
+groups, its candidate enumeration, the premises of an instance (built
+with `premises_for` or `nested_premises_for`), the test for a premise that
+closes at once, the content the eigen block records at a world-creating
+step and the derivation node it builds.  Its extras are hooks of that
+notation: among copy instances of equal rank, the labelled search tries
+targets deep in the relational order first; the nested search counts the
+fresh parameters a branch has brought in against parameter_budget.  The rule groups, the
 candidates of each rule and the novelty test (`_adds_new`) are read off
 the one rule table in `labelled.py` (`RULES`), over the labelled rules; a
 nested calculus uses their images under `nested.RULE_TO_NESTED`, and a
@@ -18,22 +19,27 @@ nested rule reads the row of its labelled preimage.
 Each node tries, in this order: the closing rules; relational saturation
 (labelled only) and the consuming rules, which include the world-creating
 rules (imp_r, neg_r, forall_r); then the copy rules, which keep their
-principal formula.  The search has one mode in every calculus: the first
-applicable instance of a consuming rule is followed without backtracking,
-saturation and copy instances that add nothing new are skipped, and the
-eigen block (`_fire_eigen`) applies; the search backtracks only over the
-copy instances.  Every rule is invertible but the copy rules neg_l, imp_l,
-lift, forall_l and exists_r of Fitting's original nint/nintqc, which
-consume their principal, so these steps lose no proof; in nint/nintqc they
-only prune, and each proof is still built by `nested_premises_for` and
-checks (those calculi are incomplete anyway, see `nested.py`).
+principal formula.  The search has one mode in every calculus and never
+backtracks: the first applicable instance of a consuming rule is followed,
+saturation instances that add nothing new are skipped, and the eigen block
+(`_fire_eigen`) applies.  The copy phase commits to one novel copy
+instance over all copy rules, picked in a fair order (`_rank`): first an
+instance with a premise that closes at once, then one with a single
+premise, then the rest, ties in enumeration order.  Every rule is
+invertible but the copy rules neg_l, imp_l, lift, forall_l and exists_r of
+Fitting's original nint/nintqc, which consume their principal, so these
+commitments lose no proof; in nint/nintqc they lose a few, and each proof
+is still built by `nested_premises_for` and checks (those calculi are
+incomplete anyway, see `nested.py`).
 
-Two things bound a branch.  The depth bound is a budget spent only by the
-rules that can repeat on a branch: the copy rules and the world-creating
-rules.  The consuming rules replace their principal by smaller formulas,
-so only finitely many of them fit between two charged steps, and they are
-free.  The eigen block stops a world-creating rule from re-creating a
-world that the branch has already created.
+The depth bound counts only the world-creating steps along a branch
+(imp_r, neg_r, the labelled forall_r) and, in the first-order calculi, the
+steps that bring in an eigenparameter (exists_l, forall_r_star and the
+nested forall_r); the eigen block also stops a world-creating rule from
+re-creating a world that the branch has already created.  Every other step
+is free: the consuming rules replace their principal by smaller formulas,
+and a committed copy step adds a formula that is not yet present, so
+neither can repeat without end (`_Search._search` gives the argument).
 
 The search pays for bookkeeping per sequent and per node, not per rule.
 The labels and parameters of a sequent (and of each formula) are computed
@@ -78,6 +84,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .formula import (
+    BOT,
     And,
     Atom,
     Bot,
@@ -102,8 +109,8 @@ from .labelled import (
     CONSUMES,
     COPIES,
     EIGEN_LABEL,
+    EIGEN_PARAM,
     RULES,
-    STRUCTURAL,
     Label,
     LabelledDerivation,
     LabelledSequent,
@@ -134,6 +141,15 @@ from .nested import (
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """The calculus and the bounds of one search.
+
+    depth_bound: the steps allowed along a branch that create a world
+    (imp_r, neg_r, the labelled forall_r) or bring in an eigenparameter
+    (exists_l, forall_r_star, the nested forall_r); no other step spends
+    it.
+    parameter_budget: the fresh parameters forall_l and exists_r may
+    bring in along a branch, read only by the nested calculi."""
+
     calculus: str = "g3int"
     depth_bound: int = 12
     parameter_budget: int = 1
@@ -151,17 +167,17 @@ Derivation = Union[LabelledDerivation, NestedDerivation]
 def prove(goal, cfg: SearchConfig) -> Optional[Derivation]:
     """A checkable derivation of the goal, or None within the bounds.
 
-    depth_bound limits the number of copy-rule and world-creating
-    inferences along a branch (imp_l, lift, neg_l, the quantifier copy
-    rules; imp_r, neg_r, forall_r).  The consuming rules (and_l, and_r,
-    or_l, or_r, exists_l, and forall_r_star and the nested forall_r, which
-    create no world) and relational saturation (ref, tra, nd, cd) are
-    free: the former shrink the sequent and the latter reach a fixpoint
-    with the labels fixed.  The consuming rules are applied eagerly
-    without backtracking, under the eigen block (`_fire_eigen`); the
-    engine backtracks over the copy-rule family and instantiation
-    choices, skipping instances that add nothing new.  No sequent is
-    pruned for repeating an ancestor (see `_Search._search`).
+    depth_bound limits the number of inferences along a branch that create
+    a world (imp_r, neg_r, the labelled forall_r) or bring in an
+    eigenparameter (exists_l, forall_r_star, the nested forall_r); in the
+    propositional calculi only the former.  Every other step is free: the
+    other consuming rules (and_l, and_r, or_l, or_r) shrink the sequent,
+    relational saturation (ref, tra, nd, cd) reaches a fixpoint with the
+    labels fixed, and each copy-rule inference (imp_l, lift, neg_l, the
+    quantifier copy rules) adds a formula that is not yet present.  Nothing is backtracked over: the first applicable consuming
+    instance is followed under the eigen block (`_fire_eigen`), and then
+    one novel copy instance in the fair order of `_Search._search`.  No
+    sequent is pruned for repeating an ancestor.
 
     parameter_budget, the fresh parameters that forall_l and exists_r may
     bring in along a branch, is read only by the nested calculi.
@@ -214,8 +230,10 @@ def _fire_eigen(records: frozenset, f: Formula, content: frozenset):
     finitely many worlds.  Every other step consumes a formula or adds one
     that is not present at its world (`_present`), so in the invertible
     propositional calculi every branch is finite even without the depth
-    bound.  The bound
-    still caps the search, whose width grows exponentially with it.
+    bound.  The bound counts these world-creating steps only (and, in the
+    first-order calculi, the steps that bring in an eigenparameter); with
+    the copy steps committed, the search follows one instance per node, so
+    its size no longer grows exponentially with the bound.
     """
     key = (f, content)
     if key in records:
@@ -242,6 +260,18 @@ def _present(f: Formula, have, ante: bool) -> bool:
     return False
 
 
+# The reserved falsum: the nested calculi have no bot_l, so `goal_for` writes
+# false as p0 & ~p0.  The nested search never applies and_r to it in a
+# succedent.  This loses no proof: p0 & ~p0 is false in every world of every
+# model, so a sequent with it in a succedent is refuted by every model that
+# refutes the sequent without it, and a branch that ends saturated but for
+# this formula still reads as a countermodel (`_fire_eigen`).  Decomposing it
+# only lets neg_r create a world for ~p0 on every branch that carries it,
+# which spends the depth bound: with the split, the S-axiom instance of
+# `tests/test_search.py` is not proved at depth 12.
+_FALSUM = convert_signature(BOT, "toNeg")
+
+
 def _adds_new(pieces, ante, succ, above) -> bool:
     """The novelty test of both notations: every premise of a copy instance
     adds a formula that is not yet present where it goes.  `pieces` are the
@@ -261,16 +291,27 @@ def _some_new(fs, have, ante: bool) -> bool:
     return False
 
 
+def _rank(pieces, closes) -> int:
+    """The place of a copy instance in the fair order: 0 when some premise
+    closes at once (`closes(piece)`, read off the node's index), 1 when
+    the instance has one premise, 2 otherwise."""
+    if any(map(closes, pieces)):
+        return 0
+    return 1 if len(pieces) == 1 else 2
+
+
 # ---------------------------------------------------------------------------
 # the search kernel
 
-# The rule groups CLOSERS, SATURATE, CONSUME, COPY and CREATES_WORLD, in the
-# order the search tries them, over the labelled rules and their classes
-# read off the rule table in labelled.py; a nested calculus searches with
-# their images under RULE_TO_NESTED, so it has no relational saturation and
-# its forall_r, the image of forall_r_star, creates no world.
+# The rule groups CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD and
+# CHARGED, the first four in the order the search tries them, over the
+# labelled rules and their classes read off the rule table in labelled.py; a
+# nested calculus searches with their images under RULE_TO_NESTED, so it has
+# no relational saturation and its forall_r, the image of forall_r_star,
+# creates no world.  CHARGED, the steps that spend the depth bound, are those
+# that create a world or bring in an eigenparameter.
 _GROUPS = (CLOSERS, (Rule.REF, Rule.TRA, Rule.ND, Rule.CD), tuple(CONSUMES), COPIES,
-           EIGEN_LABEL)
+           EIGEN_LABEL, EIGEN_LABEL | EIGEN_PARAM)
 
 
 def _nested_group(group) -> tuple:
@@ -279,19 +320,22 @@ def _nested_group(group) -> tuple:
 
 class _Search:
     """The one backward search loop; a notation subclass supplies its rule
-    groups (CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD), its index
-    (`_index`), its instance enumeration (`_instances`), the content the
-    eigen block records (`_eigen`) and the derivation node (`_node`), and
-    may refine the hooks `_copy_order` and `_fresh_cost`.
+    groups (CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD, CHARGED), its index
+    (`_index`), its candidate enumeration (`_instances`; `_copies` for the
+    novel copy instances and their rank), the premises of an instance
+    (`_premises`), the content the eigen block records (`_eigen`) and the
+    derivation node (`_node`), and may refine the hooks `_copy_order` and
+    `_fresh_cost`.
 
     A node that is not answered from the caches builds its sequent's index
     once (`_index`: the labelled `SequentIndex`, or the nested sequent's
     holes in order, each with its `NodeIndex`) and hands it to every
-    `_instances` call it makes.  The index is dropped when the node
-    returns, so only the nodes of the current branch hold one; cached on
-    the sequent, it would live as long as the proof caches (peak memory,
-    see above).  Labels and parameters, which every node would otherwise
-    recompute per rule, are cached on the sequent.
+    `_instances` and `_copies` call it makes.  The index is dropped when
+    the node returns, so only the nodes of the current branch hold one;
+    cached on the sequent, it would live as long as the proof caches (peak
+    memory, see above).  Labels and parameters, which every node would
+    otherwise recompute per rule, are cached on the sequent.  Premises are
+    built only for the instance the node follows.
 
     Proved sequents are cached, and so is every failure, keyed by the
     sequent and the eigen-block records, with the largest budget that
@@ -304,8 +348,7 @@ class _Search:
 
         self.cfg = cfg
         self.closers = pick(self.CLOSERS)
-        # (rules, novel): with novel, only instances that add something new
-        self.phases = ((pick(self.SATURATE), True), (pick(self.CONSUME), False))
+        self.phases = (pick(self.SATURATE), pick(self.CONSUME))
         self.copies = pick(self.COPY)
         self.proved: dict = {}
         self.failed: dict = {}
@@ -320,32 +363,78 @@ class _Search:
     def _fresh_cost(self, s, rule, w) -> int:
         return 0
 
+    def _fair(self, s, ix, fresh):
+        """(rule, hole, witness) of the novel copy instances of s in the
+        fair order: those of rank 0 as they come, then those of rank 1,
+        then those of rank 2 (`_rank`), each in enumeration order, rule by
+        rule and within a rule by `_copy_order`."""
+        later = ([], [])
+        order = self._copy_order(s)
+        for rule in self.copies:
+            for rank, hole, w in order(self._copies(rule, s, ix, fresh)):
+                if rank:
+                    later[rank - 1].append((rule, hole, w))
+                else:
+                    yield rule, hole, w
+        yield from later[0]
+        yield from later[1]
+
     def _search(self, s, budget: int, records, fresh: int):
         """A derivation of s, or None.
 
-        No check for an ancestor equal to s, or equal up to a renaming of
-        labels, is made.  In the invertible calculi none can fire on a
-        branch; the argument is given for labelled branches, a nested
-        sequent being a treelike labelled one with its children for labels.
-        - Labels and atoms are never removed going up, so an ancestor and a
-          descendant with equal label and atom counts have no
-          world-creating, eigen or saturation step between them.
-        - The consuming rules left, the and/or rules, keep their principal
-          `_present` and replace it by smaller formulas; each copy step adds
-          a formula that was not present at its label.
-        - So going up, the set of present (label, side, formula) triples
-          grows strictly inside a finite set at each copy step and never
-          shrinks, and with no copy step the formulas shrink.  A renaming
-          keeps both the size of that set and the size of the formulas, so
-          no bijection on labels maps the ancestor onto the descendant.
+        The node follows exactly one instance: the first closing one, else
+        the first saturation or consuming one that the eigen block and the
+        budget let fire, else one novel copy instance in the fair order
+        (`_fair`).  A step is never undone: when a premise fails, so does
+        the node.
 
-        In Fitting's nint/nintqc a copy rule consumes its principal, so the
-        set above can shrink and a sequent can repeat on a branch, but no
-        branch is infinite: each copy and world-creating step spends the
-        depth budget, and between two of them the consuming rules shrink
-        the sequent.  A repeat costs only search time; an exact-repeat
-        prune had 0 hits in 73,091 checks over the 14,133 formulas of the
-        graded layers 0-3 in nint at depth 8.
+        Completeness.  In g3int, g3intqc, nint-star and nintqc-star every
+        rule is invertible: a premise of an instance is refuted by every
+        model that refutes its conclusion, so following any instance loses
+        no proof, and the order only decides how soon a proof is found.  A
+        branch that ends with no closed leaf, no applicable rule and no
+        budget cut-off reads as a countermodel (`_fire_eigen`).
+
+        Finiteness with free copy steps.  Only the world-creating steps
+        and those that bring in an eigenparameter spend the depth bound,
+        and on a propositional branch the eigen block alone already bounds
+        the former.  The latter are charged because first-order logic is
+        undecidable: uncharged, a branch could bring in parameters for
+        ever, each giving the copy rules new instances (imp_l re-adding a
+        consumed universal to the succedent, say).  So a branch has
+        finitely many labels and parameters (a nested instantiating rule
+        brings in fresh ones only within parameter_budget), and between
+        two charged steps
+        every branch is finite, in both kinds of calculus:
+        - In the invertible calculi the copy rules keep their principal.
+          Labels and atoms are never removed going up, the free consuming
+          rules (the and/or rules) keep their principal `_present`
+          (replaced by its smaller pieces)
+          and every copy step adds a formula that was not present at its
+          label (the novelty test).  So the set of present
+          (label, side, formula) triples, drawn from the subformulas of the
+          goal and its instances, grows strictly at each copy step and never
+          shrinks: with the labels and parameters fixed there are finitely
+          many copy steps, and between two of them the consuming rules
+          shrink the sequent.
+        - In Fitting's nint/nintqc every copy rule consumes its principal
+          and replaces it by smaller formulas at its node (neg_l, imp_l,
+          forall_l, exists_r), or moves it into a child node (lift).  Every
+          step then replaces one formula occurrence by occurrences that are
+          smaller, or as large but one node higher, and the tree is at most
+          as high as the goal's plus the bound; that order on the multiset
+          of (size, remaining height) pairs is well founded.
+
+        The same facts rule out a sequent repeating on a branch of an
+        invertible calculus, so no ancestor check is made (a nested
+        sequent is a treelike labelled one with its children for labels):
+        an ancestor and a descendant with equal label and atom counts have
+        no world-creating, eigen or saturation step between them, and a
+        renaming keeps both the number of present triples and the size of
+        the formulas.  In nint/nintqc a sequent can repeat on a branch, at
+        the cost of search time only; an exact-repeat prune had 0 hits in
+        73,091 checks over the 14,133 formulas of the graded layers 0-3 in
+        nint at depth 8, under the backtracking search it was written for.
         """
         hit = self.proved.get(s)
         if hit is not None:
@@ -354,10 +443,11 @@ class _Search:
             return None
         ix = self._index(s)
         for rule in self.closers:
-            for hole, _prem, w in self._instances(rule, s, ix, fresh, False):
-                d = self._node(s, rule, hole, (), w)
-                self.proved[s] = d
-                return d
+            for hole, w in self._instances(rule, s, ix, fresh):
+                if self._premises(rule, s, hole, w) is not None:
+                    d = self._node(s, rule, hole, (), w)
+                    self.proved[s] = d
+                    return d
 
         def attempt(rule, hole, prem, w, cost, recs, more_fresh):
             subs = []
@@ -376,41 +466,44 @@ class _Search:
                 self.failed[key] = max(self.failed.get(key, -1), budget)
             return d
 
-        for group, novel in self.phases:
+        for group in self.phases:
             for rule in group:
-                cost = 1 if rule in self.CREATES_WORLD else 0
+                cost = 1 if rule in self.CHARGED else 0
                 if cost > budget:
                     continue
-                for hole, prem, w in self._instances(rule, s, ix, fresh, novel):
+                for hole, w in self._instances(rule, s, ix, fresh):
                     recs = records
-                    if cost:
+                    if rule in self.CREATES_WORLD:
                         recs = _fire_eigen(records, *self._eigen(s, hole, w))
                         if recs is None:
                             continue
-                    # the premises are provable or nothing is
-                    return settle(attempt(rule, hole, prem, w, cost, recs, 0))
-        if budget <= 0:
-            return settle(None)
-
-        # copy rules: backtrack over instantiation choices
-        order = self._copy_order(s)
-        for rule in self.copies:
-            for hole, prem, w in order(self._instances(rule, s, ix, fresh, True)):
-                got = attempt(rule, hole, prem, w, 1, records, self._fresh_cost(s, rule, w))
-                if got is not None:
-                    return settle(got)
+                    prem = self._premises(rule, s, hole, w)
+                    if prem is not None:
+                        # the premises are provable or nothing is
+                        return settle(attempt(rule, hole, prem, w, cost, recs, 0))
+        for rule, hole, w in self._fair(s, ix, fresh):
+            prem = self._premises(rule, s, hole, w)
+            if prem is not None:
+                more_fresh = self._fresh_cost(s, rule, w)
+                return settle(attempt(rule, hole, prem, w, 0, records, more_fresh))
         return settle(None)
 
 
 # ---------------------------------------------------------------------------
 # the labelled notation
 
-def _labelled_adds_new(rule: Rule, w: Witness, ix: SequentIndex) -> bool:
-    """`_adds_new` for the copy instance on the indexed sequent: the pieces
-    of its row at the label where it places them."""
-    l, a = placement(rule, w)
-    return _adds_new(RULES[rule].pieces(w.principal[1], a), ix.ante_at.get(l, ()),
-                     ix.succ_at.get(l, ()), ix.ante_at.get(l, ()))
+def _meets(ix: SequentIndex, l: Label, g: Atom, ante: bool, across: bool) -> bool:
+    """The atom g, added at label l on the left (`ante`) or on the right,
+    is already on the other side at l, or (`across`, by id) at a label
+    above l for one on the left, below l for one on the right."""
+    if g in (ix.succ_at if ante else ix.ante_at).get(l, ()):
+        return True
+    if across:
+        pairs = ix.rel_pairs
+        for u, h in (ix.succ_of if ante else ix.ante_of).get(Atom, ()):
+            if h == g and ((l, u) if ante else (u, l)) in pairs:
+                return True
+    return False
 
 
 def _label_depths(s: LabelledSequent) -> dict[Label, int]:
@@ -452,28 +545,54 @@ def _holds_at(s: LabelledSequent, v: Label) -> frozenset:
 class _Labelled(_Search):
     """Search over labelled sequents.  Instances have no hole (None)."""
 
-    CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD = _GROUPS
+    CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD, CHARGED = _GROUPS
 
     def __init__(self, cfg: SearchConfig):
         super().__init__(cfg, CALCULI[cfg.calculus])
+        # how an added formula closes a premise at once: false on the left
+        # by bot_l, an atom by id_star at one label or by id across a
+        # relational atom
+        self.bot = Rule.BOT_L in self.closers
+        self.across = Rule.ID in self.closers or Rule.ID_Q in self.closers
 
     def _index(self, s: LabelledSequent) -> SequentIndex:
         return SequentIndex(s)
 
-    def _instances(self, rule: Rule, s: LabelledSequent, ix, fresh, novel: bool):
-        """(None, premises, witness) of each instance; with `novel`, only
-        the instances that add something new: a saturation rule's witnesses
-        are read off what is missing, and a copy instance passes
-        `_labelled_adds_new`."""
-        copy_test = novel and rule not in STRUCTURAL
-        for w in _candidate_witnesses(rule, s, ix, missing=novel):
-            if copy_test and not _labelled_adds_new(rule, w, ix):
-                continue
-            try:
-                prem = premises_for(rule, s, w)
-            except SequentError:
-                continue
-            yield None, prem, w
+    def _instances(self, rule: Rule, s: LabelledSequent, ix, fresh):
+        """(None, witness) of each candidate; a saturation rule's are read
+        off what is missing."""
+        for w in _candidate_witnesses(rule, s, ix, missing=True):
+            yield None, w
+
+    def _copies(self, rule: Rule, s: LabelledSequent, ix, fresh):
+        """(rank, None, witness) of each copy instance that adds something
+        new (`_adds_new`), read off the pieces of its row at the label
+        where it places them."""
+        row = RULES[rule]
+        for w in _candidate_witnesses(rule, s, ix):
+            l, a = placement(rule, w)
+            pieces = row.pieces(w.principal[1], a)
+            ante = ix.ante_at.get(l, ())
+            if _adds_new(pieces, ante, ix.succ_at.get(l, ()), ante):
+                yield _rank(pieces, lambda p: self._closes(ix, l, p)), None, w
+
+    def _closes(self, ix: SequentIndex, l: Label, piece) -> bool:
+        """A premise that adds the row piece at label l closes at once: it
+        adds false on the left, or an atom that meets itself (`_meets`)."""
+        ante, succ, _world, above = piece
+        for g in ante + above:  # a lifted formula goes to the antecedent at l
+            if (self.bot and isinstance(g, Bot)
+                    or isinstance(g, Atom) and _meets(ix, l, g, True, self.across)):
+                return True
+        return any(isinstance(g, Atom) and _meets(ix, l, g, False, self.across) for g in succ)
+
+    def _premises(self, rule: Rule, s: LabelledSequent, hole, w: Witness):
+        """The premises of the instance, or None when a side condition
+        fails."""
+        try:
+            return premises_for(rule, s, w)
+        except SequentError:
+            return None
 
     def _eigen(self, s: LabelledSequent, hole, w: Witness):
         (v, f) = w.principal
@@ -493,12 +612,22 @@ class _Labelled(_Search):
 # ---------------------------------------------------------------------------
 # the nested notation
 
+def _closes_at(at, child, piece) -> bool:
+    """A premise that adds the row piece at the node of `at` closes at once
+    (id, id_q): it adds an atom that the node has on the other side, or
+    lifts one into the child that the child's succedent has."""
+    ante, succ, _world, above = piece
+    return (any(isinstance(g, Atom) and g in at.succ for g in ante)
+            or any(isinstance(g, Atom) and g in at.ante for g in succ)
+            or any(isinstance(g, Atom) and g in child.succ for g in above))
+
+
 class _Nested(_Search):
     """Search over nested sequents.  An instance sits at a hole, and the
     instantiating rules may bring in at most parameter_budget fresh
     parameters along a branch (`fresh` counts them)."""
 
-    CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD = map(_nested_group, _GROUPS)
+    CLOSERS, SATURATE, CONSUME, COPY, CREATES_WORLD, CHARGED = map(_nested_group, _GROUPS)
 
     def __init__(self, cfg: SearchConfig):
         super().__init__(cfg, NESTED_CALCULI[cfg.calculus])
@@ -506,27 +635,40 @@ class _Nested(_Search):
     def _index(self, s: NestedSequent) -> list:
         return index_holes(s)
 
-    def _instances(self, rule: NRule, s: NestedSequent, ix, fresh: int, novel: bool):
-        """(hole, premises, witness) of each instance; with `novel`, only
-        the instances that add something new (`_adds_new`)."""
+    def _candidates(self, rule: NRule, s: NestedSequent, ix, fresh: int):
+        """(hole, its node's index, witness) of each candidate within the
+        parameter budget; and_r never takes the reserved falsum (`_FALSUM`)."""
         budget_left = self.cfg.parameter_budget - fresh
         for hole, at in ix:
-            node = at.node
-            for w in _nested_candidates(rule, s, node, at):
+            for w in _nested_candidates(rule, s, at.node, at):
                 if rule in _INSTANTIATE:
-                    is_fresh = w.param not in s.params()
-                    if is_fresh and budget_left <= 0:
+                    if budget_left <= 0 and w.param not in s.params():
                         continue
-                if novel and not _adds_new(
-                    NESTED_ROWS[rule].pieces(w.formula, w.param), at.ante, at.succ,
-                    () if w.child is None else node.children[w.child].ante,
-                ):
+                elif rule is NRule.AND_R and w.formula == _FALSUM:
                     continue
-                try:
-                    prem = nested_premises_for(self.cfg.calculus, rule, s, hole, w)
-                except SequentError:
-                    continue
-                yield hole, prem, w
+                yield hole, at, w
+
+    def _instances(self, rule: NRule, s: NestedSequent, ix, fresh: int):
+        for hole, _at, w in self._candidates(rule, s, ix, fresh):
+            yield hole, w
+
+    def _copies(self, rule: NRule, s: NestedSequent, ix, fresh: int):
+        """(rank, hole, witness) of each copy instance that adds something
+        new (`_adds_new`)."""
+        row = NESTED_ROWS[rule]
+        for hole, at, w in self._candidates(rule, s, ix, fresh):
+            child = None if w.child is None else at.node.children[w.child]
+            pieces = row.pieces(w.formula, w.param)
+            if _adds_new(pieces, at.ante, at.succ, () if child is None else child.ante):
+                yield _rank(pieces, lambda p: _closes_at(at, child, p)), hole, w
+
+    def _premises(self, rule: NRule, s: NestedSequent, hole, w: NWitness):
+        """The premises of the instance, or None when a side condition
+        fails."""
+        try:
+            return nested_premises_for(self.cfg.calculus, rule, s, hole, w)
+        except SequentError:
+            return None
 
     def _eigen(self, s: NestedSequent, hole, w: NWitness):
         return w.formula, frozenset(s.at(hole).ante)

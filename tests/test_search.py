@@ -6,7 +6,7 @@ import pytest
 import intcalc.labelled
 import intcalc.search
 from intcalc.formula import convert_signature, parse_formula, show_formula
-from intcalc.kripke import satisfies
+from intcalc.kripke import rooted_countermodel, satisfies
 from intcalc.labelled import (
     CALCULI,
     Label,
@@ -18,6 +18,7 @@ from intcalc.labelled import (
 from intcalc.nested import (
     NESTED_CALCULI,
     NestedSequent,
+    NRule,
     check_nested_derivation,
     parse_nested,
 )
@@ -397,9 +398,9 @@ PROOF_SHAPES = {
         (13, 11, "9f7da1d2ef87"), (26, 12, "088756ead741"), (39, 13, "b48bdd9de8e7"),
         (52, 14, "38277ef501f5")],
     ("nint-star", chain_forward): [
-        (9, 6, "35005671d8e6"), (27, 12, "c82d2280e337"), (49, 17, "80e0986b243c")],
+        (6, 5, "768cc5a5ae16"), (11, 9, "27a94d9f1632"), (17, 14, "54484ea64d12")],
     ("nint-star", chain_backward): [
-        (9, 6, "073f4f66a388"), (20, 12, "f5b6910a406b"), (31, 17, "d17624c844f1")],
+        (6, 5, "930182132f14"), (11, 9, "f37cac8e3c8b"), (17, 14, "4c65cd4eebb3")],
     ("nint-star", lem_conjunction): [
         (10, 10, "536ffac1f2c4"), (21, 11, "ecf94079fa24"), (32, 12, "fc7baa79de42"),
         (43, 13, "6dee1d44eb98")],
@@ -421,3 +422,79 @@ def test_proof_shapes_are_pinned(calc, family):
         assert d is not None and checks(calc, d), (calc, family.__name__, k)
         got = (sum(1 for _ in d.nodes()), d.height(), _rule_digest(d))
         assert got == want, (calc, family.__name__, k)
+
+
+# -- the committed search ------------------------------------------------------
+
+S_INSTANCE = ("(false | p -> (q -> false) -> false | false) -> (false | p -> q -> false)"
+              " -> false | p -> false | false")
+KREISEL_PUTNAM = "(~p -> q | r) -> (~p -> q) | (~p -> r)"
+
+
+def test_committed_search_decides_layers_0_to_3():
+    # every rule of g3int and nint-star is invertible, so following one
+    # instance per node loses no proof: at depth 12 the search proves
+    # exactly the formulas with no countermodel of at most 5 worlds
+    formulas = list(itertools.chain(*_layer_formulas(3)))
+    assert len(formulas) == 14133
+    refuted = [rooted_countermodel(f, 5) is not None for f in formulas]
+    for calc in ("nint-star", "g3int"):
+        proved = 0
+        for f, cm in zip(formulas, refuted):
+            d = prove(goal_for(f, calc), SearchConfig(calc, 12))
+            assert (d is None) == cm, (calc, show_formula(f))
+            if d is not None:
+                proved += 1
+                assert checks(calc, d), (calc, show_formula(f))
+        assert proved == 3446, calc
+
+
+@pytest.mark.parametrize("k", [6, 16])
+def test_nint_star_proves_long_forward_chains(k):
+    d = prove(NestedSequent(succ=(chain_forward(k),)), SearchConfig("nint-star", 4 * k + 4))
+    assert d is not None and checks("nint-star", d)
+
+
+def test_decide_prop_proves_the_s_instance():
+    dec = decide_prop(parse_formula(S_INSTANCE), 4, SearchConfig("nint-star", 12))
+    assert dec.verdict == "theorem"
+    assert check_nested_derivation("nint-star", dec.proof)[0]
+
+
+def test_copy_steps_do_not_spend_depth():
+    # its nint-star proof takes more copy steps along a branch than the
+    # bound of 12 would allow if they were charged
+    f = parse_formula("~((~(p -> q) -> p) -> false)")
+    d = prove(goal_for(f, "nint-star"), SearchConfig("nint-star", 12))
+    assert d is not None and checks("nint-star", d)
+
+
+@pytest.mark.parametrize("calc", ["nint-star", "g3int"])
+def test_kreisel_putnam_is_not_proved(calc):
+    assert prove(goal_for(parse_formula(KREISEL_PUTNAM), calc), SearchConfig(calc, 14)) is None
+
+
+def test_and_r_never_splits_the_reserved_falsum():
+    falsum = parse_formula("p0 & ~p0")
+    formulas = [parse_formula(text) for text in MANY_FALSES + [S_INSTANCE, "~~(false -> p)"]]
+    formulas += itertools.chain(*_layer_formulas(2))
+    proved = 0
+    for f in formulas:
+        d = prove(goal_for(f, "nint-star"), SearchConfig("nint-star", 12))
+        if d is None:
+            continue
+        proved += 1
+        for n in d.nodes():
+            assert not (n.rule is NRule.AND_R and n.witness.formula == falsum), show_formula(f)
+    assert proved > len(MANY_FALSES) + 1
+
+
+@pytest.mark.parametrize("calc", FIRST_ORDER)
+def test_first_order_search_ends(calc):
+    # imp_l re-adds the universal that forall_r consumed, and each round
+    # brings in a new eigenparameter: only the charge on that step ends
+    # the branch
+    for text in ("((forall x. r(x)) -> q) -> s", "(q -> exists x. r(x)) -> s",
+                 "~~(forall y. exists x. r(x, y)) -> q"):
+        goal = goal_for(parse_formula(text), calc)
+        assert prove(goal, SearchConfig(calc, 12, parameter_budget=2)) is None, text

@@ -572,8 +572,8 @@ ELIMINATION_SHAPES = {
     "fo": [
         (4, 4, "30470642213e", "6b00241d92c3"), (5, 5, "0f6e1c7b8bbe", "ee2310363a6a"),
         (10, 6, "bfca3cae6d52", "bc1cf5f35ca2"), (5, 5, "15c7066bad6f", "6b00241d92c3"),
-        (5, 5, "19da06d157d1", "ee2310363a6a"), (12, 11, "6d5cc7438581", "5372105c04b9"),
-        (9, 7, "5adf386672e8", "6b00241d92c3"), (8, 7, "651eed2ba203", "ee2310363a6a"),
+        (5, 5, "19da06d157d1", "ee2310363a6a"), (8, 7, "b18034d4a050", "5372105c04b9"),
+        (8, 6, "78ce6dabc5b1", "6b00241d92c3"), (8, 7, "651eed2ba203", "ee2310363a6a"),
         (3, 3, "0447eeee3598", "369dd5b28d0d"), (7, 6, "e92f217cf904", "6b00241d92c3"),
         (5, 5, "22ef9e453cd8", "ee2310363a6a")],
 }
