@@ -8,10 +8,11 @@ error (unparsable input, failed check); 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import graph as graphmod
-from .formula import FormulaError, parse_formula, show_formula
+from .formula import FormulaError, params_of, parse_formula, show_formula
 from .hilbert import check_hilbert, parse_hilbert
 from .kripke import (
     BudgetExceeded,
@@ -162,24 +163,21 @@ def cmd_model_eval(args) -> int:
         holds = nested_sequent_holds(m, parse_nested(text))
     else:
         f = parse_formula(text)
-        world = args.world
-        if world:
-            holds = satisfies(m, world, f, _env_for(m, f))
-        else:
-            holds = all(satisfies(m, w, f, _env_for(m, f)) for w in sorted(m.worlds))
+        worlds = [args.world] if args.world else sorted(m.worlds)
+        holds = all(satisfies(m, w, f, env) for env in _envs(m, f) for w in worlds)
     print("holds" if holds else "does not hold")
     return OK if holds else NEGATIVE
 
 
-def _env_for(m, f):
-    from .formula import params_of
-
-    ps = params_of(f)
-    if not ps:
-        return {}
-    if not m.domain:
+def _envs(m, f):
+    """Every assignment of the formula's parameters to the model's domain:
+    a formula's parameters are read universally, as a sequent's are
+    (`labelled_sequent_holds`)."""
+    ps = sorted(params_of(f), key=lambda p: p.name)
+    if ps and not m.domain:
         raise ModelError("formula has parameters but the model has no domain")
-    return {p: m.domain[0] for p in ps}
+    for combo in itertools.product(m.domain, repeat=len(ps)):
+        yield dict(zip(ps, combo))
 
 
 def cmd_countermodel(args) -> int:

@@ -36,8 +36,8 @@ from .labelled import (
     SequentError,
     Witness,
     check_inference,
-    fresh_labels,
-    fresh_params,
+    fresh_label,
+    fresh_param,
 )
 from .transform import TransformError, substitute_derivation, weaken_derivation
 
@@ -134,7 +134,7 @@ def _initial(f: Formula, w: Label, v: Label, target: LabelledSequent,
         return _mk(CALC, Rule.OR_L, target, (da, db), Witness(principal=(w, f)))
     if isinstance(f, Impl):
         used = _used_names(target)
-        u = fresh_labels(used)[0]
+        u = fresh_label(used)
         t1 = target.remove(succ=[(v, f)]).add(
             rel=[RelAtom(v, u)], ante=[(u, f.left)], succ=[(u, f.right)]
         )
@@ -151,8 +151,8 @@ def _initial(f: Formula, w: Label, v: Label, target: LabelledSequent,
                    Witness(principal=(v, f), label=u))
     if isinstance(f, Forall):
         used = _used_names(target)
-        u = fresh_labels(used)[0]
-        b = fresh_params(used)[0]
+        u = fresh_label(used)
+        b = fresh_param(used)
         inst = substitute_param(f.body, b, f.var)
         t1 = target.remove(succ=[(v, f)]).add(
             rel=[RelAtom(v, u)], dom=[DomAtom(b, u)], succ=[(u, inst)]
@@ -168,7 +168,7 @@ def _initial(f: Formula, w: Label, v: Label, target: LabelledSequent,
                    Witness(principal=(v, f), label=u, param=b))
     if isinstance(f, Exists):
         used = _used_names(target)
-        b = fresh_params(used)[0]
+        b = fresh_param(used)
         inst = substitute_param(f.body, b, f.var)
         t1 = target.remove(ante=[(w, f)]).add(
             dom=[DomAtom(b, w)], ante=[(w, inst)]
@@ -318,7 +318,7 @@ def forall_shift_axiom(antecedent: Formula, body: Formula, x: Var):
         dom=tuple(DomAtom(c, w) for c in ps), succ=((w, Impl(f_in, f_out)),)
     )
     skeleton: list[Rule] = []
-    a = fresh_params(_used_names(goal) | {l.name for l in (v, u, z)})[0]
+    a = fresh_param(_used_names(goal) | {l.name for l in (v, u, z)})
     inst_body = substitute_param(body, a, x)
     inst_imp = Impl(antecedent, inst_body)
 
@@ -378,7 +378,7 @@ def constant_domain_axiom(body: Formula, other: Formula, x: Var):
         dom=tuple(DomAtom(c, w) for c in ps), succ=((w, Impl(f_in, f_out)),)
     )
     skeleton: list[Rule] = []
-    a = fresh_params(_used_names(goal) | {l.name for l in (v, u)})[0]
+    a = fresh_param(_used_names(goal) | {l.name for l in (v, u)})
     inst_body = substitute_param(body, a, x)
     inst_or = Or(inst_body, other)
 
@@ -433,7 +433,7 @@ def simulate_generalization(
     others = [dm.a for dm in end.dom if dm.a != a]
     gen = Forall(x, _abstract(f, a, x))
     used = {w.name} | {p.name for p in end.params()} | {x.name}
-    u = fresh_labels(used, stem="u")[0]
+    u = fresh_label(used, stem="u")
     d1 = weaken_derivation(
         d, CALC, rel=[RelAtom(u, w)], dom=[DomAtom(c, u) for c in others]
     )

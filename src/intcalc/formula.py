@@ -150,10 +150,12 @@ BOT = Bot()
 def cache_hash(cls):
     """Memoize the generated dataclass hash on the instance.
 
-    Formula trees and sequents are hashed constantly by the multiset
-    encodings and the proof caches; without this, every hash walks the
-    whole tree.  They keep structural equality: interning them as well
-    (`Interned`) would make their integer id the natural sort key and so
+    It serves the formula classes only.  Formula trees are hashed
+    constantly by the multiset encodings and the search's indexes; without
+    this, every hash walks the whole tree.  The search keeps no table of
+    sequents, so sequents are not hashed on its path and keep the plain
+    dataclass hash.  Formulas keep structural equality: interning them as
+    well (`Interned`) would make their integer id the natural sort key and so
     change the canonical order and every proof, and on the benchmark's
     `decide` workload its global table raised peak memory by about 10 %.
     The small name values (`Param`, `Var`, labels, relational and domain

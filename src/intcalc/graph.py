@@ -66,7 +66,7 @@ def graph_of_labelled(s: LabelledSequent) -> SequentGraph:
     return SequentGraph(frozenset(verts), frozenset(edges), lab)
 
 
-def graph_of_nested(s: NestedSequent, root_prefix: str = "0") -> SequentGraph:
+def graph_of_nested(s: NestedSequent) -> SequentGraph:
     verts: set[str] = set()
     edges: set[tuple[str, str]] = set()
     lab: dict[str, tuple[tuple[Formula, ...], tuple[Formula, ...]]] = {}
@@ -79,13 +79,13 @@ def graph_of_nested(s: NestedSequent, root_prefix: str = "0") -> SequentGraph:
             edges.add((prefix, child))
             walk(c, child)
 
-    walk(s, root_prefix)
+    walk(s, "0")
     return SequentGraph(frozenset(verts), frozenset(edges), lab)
 
 
 @dataclass(frozen=True)
 class TreelikeViolation:
-    kind: str  # disconnected | cycle | backwards-branching | multiple-roots | no-root
+    kind: str  # cycle | backwards-branching | disconnected
     detail: str
 
 
@@ -114,7 +114,7 @@ def _treelike(
     if not roots:
         return TreelikeViolation("cycle", "every vertex has an incoming edge"), None
     if len(roots) > 1:
-        # distinguish plain disconnection from genuine multi-rootedness
+        # two in-degree-0 vertices: no path joins them
         return TreelikeViolation(
             "disconnected", f"no path joins roots {', '.join(roots)}"
         ), None
@@ -282,7 +282,7 @@ def nestify_with_paths(
     return nested, paths
 
 
-def labelify(s: NestedSequent, stem: str = "w") -> LabelledSequent:
+def labelify(s: NestedSequent) -> LabelledSequent:
     """Fresh labels per nesting node, one relational atom per bracket."""
     rel: list[RelAtom] = []
     ante: list[tuple[Label, Formula]] = []
@@ -290,7 +290,7 @@ def labelify(s: NestedSequent, stem: str = "w") -> LabelledSequent:
     counter = itertools.count()
 
     def walk(node: NestedSequent) -> Label:
-        me = Label(f"{stem}{next(counter)}")
+        me = Label(f"w{next(counter)}")
         for f in node.ante:
             ante.append((me, f))
         for f in node.succ:
@@ -304,11 +304,11 @@ def labelify(s: NestedSequent, stem: str = "w") -> LabelledSequent:
     return LabelledSequent(tuple(rel), (), tuple(ante), tuple(succ))
 
 
-def dot_of_graph(g: SequentGraph, name: str = "sequent") -> str:
+def dot_of_graph(g: SequentGraph) -> str:
     """Graphviz export for inspection."""
     from .formula import show_formula
 
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    lines = ["digraph sequent {", "  rankdir=TB;"]
     for v in sorted(g.vertices):
         ante, succ = g.labelling[v]
         a = ", ".join(show_formula(f) for f in ante)

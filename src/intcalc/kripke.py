@@ -768,9 +768,13 @@ def enumerate_models(
 
     random: `count` pseudo-random valid models, deterministic per seed;
     BudgetExceeded before the first when max_worlds**3 exceeds MODEL_BUDGET.
+
+    A negative domain_size or count raises ModelError before the first.
     """
     if max_worlds < 1:
         raise ModelError("max_worlds must be >= 1")
+    if domain_size < 0 or count < 0:
+        raise ModelError("domain_size and count must be >= 0")
     atom_list = sorted(set(atoms))
     arity = arity or {}
     if mode == "exhaustive":

@@ -55,7 +55,6 @@ from .formula import (
     Neg,
     Or,
     Param,
-    cache_hash,
     cached,
     params_of,
     parse_formula,
@@ -191,9 +190,6 @@ class LabelledSequent:
 
     def __repr__(self) -> str:
         return show_sequent(self)
-
-
-cache_hash(LabelledSequent)
 
 
 def _insert(items: tuple, new, key) -> tuple:
@@ -345,28 +341,22 @@ def path_exists(rel: Sequence[RelAtom], start: Label, goal: Label) -> bool:
     return False
 
 
-def fresh_labels(used: set[str], n: int = 1, stem: str = "v") -> list[Label]:
-    out: list[Label] = []
+def _fresh_name(used: set[str], stem: str) -> str:
+    """The first of stem0, stem1, ... not in `used`, which it is added to."""
     i = 0
-    while len(out) < n:
-        name = f"{stem}{i}"
-        if name not in used:
-            used.add(name)
-            out.append(Label(name))
+    while f"{stem}{i}" in used:
         i += 1
-    return out
+    name = f"{stem}{i}"
+    used.add(name)
+    return name
 
 
-def fresh_params(used: set[str], n: int = 1, stem: str = "a") -> list[Param]:
-    out: list[Param] = []
-    i = 0
-    while len(out) < n:
-        name = f"{stem}{i}"
-        if name not in used:
-            used.add(name)
-            out.append(Param(name))
-        i += 1
-    return out
+def fresh_label(used: set[str], stem: str = "v") -> Label:
+    return Label(_fresh_name(used, stem))
+
+
+def fresh_param(used: set[str]) -> Param:
+    return Param(_fresh_name(used, "a"))
 
 
 # ---------------------------------------------------------------------------
@@ -949,11 +939,11 @@ def _group(occurrences):
 
 
 def _fresh_label(s: LabelledSequent) -> Label:
-    return fresh_labels({l.name for l in s.labels()})[0]
+    return fresh_label({l.name for l in s.labels()})
 
 
 def _fresh_param(s: LabelledSequent) -> Param:
-    return fresh_params({p.name for p in s.params()})[0]
+    return fresh_param({p.name for p in s.params()})
 
 
 def _candidate_witnesses(

@@ -83,7 +83,7 @@ from .labelled import (
     _remove,
     _split_top,
     check_nodes,
-    fresh_params,
+    fresh_param,
 )
 
 
@@ -149,9 +149,6 @@ class NestedSequent:
             ps |= c.params()
         return frozenset(ps)
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
     def __repr__(self) -> str:
         return show_nested(self)
 
@@ -165,11 +162,6 @@ def _walk(s: NestedSequent) -> Iterator[tuple[tuple[int, ...], NestedSequent]]:
         yield hole, node
         kids = node.children
         stack.extend((hole + (i,), kids[i]) for i in range(len(kids) - 1, -1, -1))
-
-
-from .formula import cache_hash as _cache_hash
-
-_cache_hash(NestedSequent)
 
 
 def nkey(s: NestedSequent) -> str:
@@ -505,7 +497,7 @@ def _nested_candidates(
                 yield NWitness(formula=f, child=i)
     elif rule in _EIGEN_PARAM:
         if fs:
-            a = fresh_params({p.name for p in goal.params()})[0]
+            a = fresh_param({p.name for p in goal.params()})
             for f in fs:
                 yield NWitness(formula=f, param=a)
     elif rule in _INSTANTIATE:
@@ -526,4 +518,4 @@ def _inst_params(goal: NestedSequent) -> list[Param]:
     # which the labelled calculi, needing a domain atom, do not
     have = sorted(goal.params(), key=lambda p: p.name)
     used = {p.name for p in have}
-    return have + fresh_params(used)
+    return have + [fresh_param(used)]

@@ -62,13 +62,22 @@ def witness_to_json(w: Witness) -> dict:
     return out
 
 
+def _split(text: str, sep: str, what: str) -> list[str]:
+    """The two sides of text around its first sep; SequentError quoting
+    text when it has none."""
+    parts = text.split(sep, 1)
+    if len(parts) < 2:
+        raise SequentError(f"malformed {what} {text!r}: no {sep.strip()!r}")
+    return parts
+
+
 def _parse_rel(text: str) -> RelAtom:
-    a, b = text.split("<=", 1)
+    a, b = _split(text, "<=", "relational atom")
     return RelAtom(Label(a.strip()), Label(b.strip()))
 
 
 def _parse_dom(text: str) -> DomAtom:
-    a, d = text.split(" in ", 1)
+    a, d = _split(text, " in ", "domain atom")
     d = d.strip()
     if not (d.startswith("D(") and d.endswith(")")):
         raise SequentError(f"malformed domain atom {text!r}")
@@ -139,7 +148,7 @@ class _Reader:
         return f
 
     def lf(self, text: str):
-        w, f = text.split(":", 1)
+        w, f = _split(text, ":", "labelled formula")
         return (Label(w.strip()), self.formula(f))
 
     def witness(self, data: dict) -> Witness:

@@ -52,7 +52,7 @@ a saturation rule lists only the witnesses whose atom is missing.  A
 nested sequent's index (`nested.index_holes`) lists its holes in order,
 each with its node's distinct formulas by connective (`nested.NodeIndex`),
 so that no rule walks the tree.  The index lives only while its node is
-searched and is not cached on the sequent: the proof caches keep their
+searched and is not cached on the sequent: a derivation keeps its
 sequents alive, and an index on each of them raised the peak memory of the
 benchmark's `families` workload from 24 MB to 34 MB.
 
@@ -97,6 +97,7 @@ from .formula import (
 )
 from .kripke import (
     KripkeModel,
+    ModelError,
     _propositional,
     enumerate_models,
     rooted_countermodel,
@@ -327,19 +328,22 @@ class _Search:
     derivation node (`_node`), and may refine the hooks `_copy_order` and
     `_fresh_cost`.
 
-    A node that is not answered from the caches builds its sequent's index
-    once (`_index`: the labelled `SequentIndex`, or the nested sequent's
-    holes in order, each with its `NodeIndex`) and hands it to every
-    `_instances` and `_copies` call it makes.  The index is dropped when
-    the node returns, so only the nodes of the current branch hold one;
-    cached on the sequent, it would live as long as the proof caches (peak
-    memory, see above).  Labels and parameters, which every node would
-    otherwise recompute per rule, are cached on the sequent.  Premises are
-    built only for the instance the node follows.
+    Each node builds its sequent's index once (`_index`: the labelled
+    `SequentIndex`, or the nested sequent's holes in order, each with its
+    `NodeIndex`) and hands it to every `_instances` and `_copies` call it
+    makes.  The index is dropped when the node returns, so only the nodes
+    of the current branch hold one; cached on the sequent, it would live as
+    long as the derivation (peak memory, see above).  Labels and
+    parameters, which every node would otherwise recompute per rule, are
+    cached on the sequent.  Premises are built only for the instance the
+    node follows.
 
-    Proved sequents are cached, and so is every failure, keyed by the
-    sequent and the eigen-block records, with the largest budget that
-    failed.
+    A search keeps no table of proved or failed sequents: it is a walk of
+    (sequent, budget, records, fresh).  The first failure ends it, so it
+    visits each node of the tree it builds once: a proved goal's nodes are
+    those of the returned derivation, and a failed search stops at its
+    first open branch.  Re-deriving a sequent so costs what checking the
+    derivation already costs.
     """
 
     def __init__(self, cfg: SearchConfig, rules):
@@ -350,8 +354,6 @@ class _Search:
         self.closers = pick(self.CLOSERS)
         self.phases = (pick(self.SATURATE), pick(self.CONSUME))
         self.copies = pick(self.COPY)
-        self.proved: dict = {}
-        self.failed: dict = {}
 
     def search(self, goal) -> Optional[Derivation]:
         return self._search(goal, self.cfg.depth_bound, frozenset(), 0)
@@ -436,18 +438,11 @@ class _Search:
         73,091 checks over the 14,133 formulas of the graded layers 0-3 in
         nint at depth 8, under the backtracking search it was written for.
         """
-        hit = self.proved.get(s)
-        if hit is not None:
-            return hit
-        if self.failed.get((s, records), -1) >= budget:
-            return None
         ix = self._index(s)
         for rule in self.closers:
             for hole, w in self._instances(rule, s, ix, fresh):
                 if self._premises(rule, s, hole, w) is not None:
-                    d = self._node(s, rule, hole, (), w)
-                    self.proved[s] = d
-                    return d
+                    return self._node(s, rule, hole, (), w)
 
         def attempt(rule, hole, prem, w, cost, recs, more_fresh):
             subs = []
@@ -457,14 +452,6 @@ class _Search:
                     return None
                 subs.append(sub)
             return self._node(s, rule, hole, tuple(subs), w)
-
-        def settle(d):
-            if d is not None:
-                self.proved[s] = d
-            else:
-                key = (s, records)
-                self.failed[key] = max(self.failed.get(key, -1), budget)
-            return d
 
         for group in self.phases:
             for rule in group:
@@ -480,13 +467,13 @@ class _Search:
                     prem = self._premises(rule, s, hole, w)
                     if prem is not None:
                         # the premises are provable or nothing is
-                        return settle(attempt(rule, hole, prem, w, cost, recs, 0))
+                        return attempt(rule, hole, prem, w, cost, recs, 0)
         for rule, hole, w in self._fair(s, ix, fresh):
             prem = self._premises(rule, s, hole, w)
             if prem is not None:
                 more_fresh = self._fresh_cost(s, rule, w)
-                return settle(attempt(rule, hole, prem, w, 0, records, more_fresh))
-        return settle(None)
+                return attempt(rule, hole, prem, w, 0, records, more_fresh)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +690,11 @@ def find_countermodel(
     domain, such as the one world with no individual that refutes
     (forall x. r(x)) -> exists x. r(x).  A
     countermodel re-evaluates to false under `satisfies_reference` before
-    it is returned; None only exhausts the bound.
+    it is returned; None only exhausts the bound.  A negative domain_size
+    raises ModelError, whatever the formula.
     """
+    if domain_size < 0:
+        raise ModelError("domain_size must be >= 0")
     if _propositional(f):
         found = rooted_countermodel(f, max_worlds)
         cm = Countermodel(*found) if found is not None else None

@@ -73,8 +73,8 @@ from .labelled import (
     Witness,
     _multiset_diff,
     check_derivation,
-    fresh_labels,
-    fresh_params,
+    fresh_label,
+    fresh_param,
     placed,
     premises_for,
     substitute_sequent,
@@ -137,7 +137,7 @@ def _checked(what: str, calc: str, d: LabelledDerivation, out: LabelledDerivatio
 def _no_tags(d: LabelledDerivation) -> None:
     for n in d.nodes():
         if n.rule in ADMISSIBLE_TAGS:
-            raise TransformError(
+            raise SequentError(
                 f"derivation contains checker-only rule {n.rule.value}; "
                 "transformations require real inferences"
             )
@@ -210,11 +210,11 @@ def _names_on_clash(d: LabelledDerivation, extra: set[str]):
 def _rename_eigen(n: LabelledDerivation, clash: set, used) -> LabelledDerivation:
     """n with its eigenlabel, then its eigenparameter, renamed to a name
     fresh for `used()` where it is in `clash`."""
-    for kind, eigen, fresh in (("label", EIGEN_LABEL, fresh_labels),
-                               ("param", EIGEN_PARAM, fresh_params)):
+    for kind, eigen, fresh in (("label", EIGEN_LABEL, fresh_label),
+                               ("param", EIGEN_PARAM, fresh_param)):
         old = getattr(n.witness, kind)
         if n.rule in eigen and old in clash:
-            new = fresh(used())[0]
+            new = fresh(used())
             prem = tuple(_substitute(p, kind, new, old) for p in n.premises)
             n = LabelledDerivation(n.conclusion, n.rule, prem,
                                    dc_replace(n.witness, **{kind: new}))
@@ -262,8 +262,8 @@ def _eigen_witness(rule: Rule, occ: LabelledFormula, used: set[str],
     is not given are picked fresh from `used`."""
     return Witness(
         principal=occ,
-        label=(label or fresh_labels(used)[0]) if rule in EIGEN_LABEL else None,
-        param=(param or fresh_params(used)[0]) if rule in EIGEN_PARAM else None,
+        label=(label or fresh_label(used)) if rule in EIGEN_LABEL else None,
+        param=(param or fresh_param(used)) if rule in EIGEN_PARAM else None,
     )
 
 
@@ -828,16 +828,14 @@ def eliminate_structural(
 # ---------------------------------------------------------------------------
 # labelled-to-nested proof translation
 
-def proof_to_nested(d: LabelledDerivation, calc: str = "auto") -> NestedDerivation:
+def proof_to_nested(d: LabelledDerivation) -> NestedDerivation:
     """Node-wise nested translation of a treelike-rule-set derivation.
 
     The output checks in nint-star (propositional) or nintqc-star.
     """
     _no_tags(d)
-    if calc == "auto":
-        fo_rules = CALCULI["intqcl-tree"] - CALCULI["g3int-tree"]
-        fo = any(n.rule in fo_rules for n in d.nodes())
-        calc = "nintqc-star" if fo else "nint-star"
+    fo_rules = CALCULI["intqcl-tree"] - CALCULI["g3int-tree"]
+    calc = "nintqc-star" if any(n.rule in fo_rules for n in d.nodes()) else "nint-star"
 
     def go(n: LabelledDerivation) -> NestedDerivation:
         if n.rule not in RULE_TO_NESTED:

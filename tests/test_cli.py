@@ -89,6 +89,20 @@ def test_model_eval(tmp_path, capsys):
     assert run(["model-eval", str(model), "p", "--world", "v"]) == 0
 
 
+def test_model_eval_reads_parameters_universally(tmp_path, capsys):
+    # p(#a) fails when #a names d1, so it fails as a formula and as a sequent
+    model = tmp_path / "model.txt"
+    model.write_text("worlds: w\ndomain: d0 d1\nval: p(d0) @ w\n")
+    for goal in ("p(#a)", " => w: p(#a)"):
+        assert run(["model-eval", str(model), goal]) == 1
+        assert capsys.readouterr().out.strip() == "does not hold"
+    assert run(["model-eval", str(model), "p(#a)", "--world", "w"]) == 1
+    assert run(["model-eval", str(model), "p(#a) | ~p(#a)"]) == 0
+    # parameters on an empty domain are an input error
+    model.write_text("worlds: w\n")
+    assert run(["model-eval", str(model), "p(#a)"]) == 2
+
+
 def test_translate_both_ways(capsys):
     assert run(["translate", "w<=v, w: p => v: q"]) == 0
     assert capsys.readouterr().out.strip() == "p -> [-> q]"
@@ -184,6 +198,13 @@ def test_exit_code_matrix(tmp_path, capsys):
     chain.write_text("worlds: w0 w1 w2 w3\nleq: w0 <= w1, w1 <= w2, w2 <= w3\nval: p @ w3\n")
     node = {"sequent": " => w: p -> p", "rule": "imp_r", "witness": {}, "premises": []}
     nnode = {**node, "sequent": " -> p -> p", "hole": []}
+    unseparated = [("principal", "w p"), ("rel", "wv"), ("dom", "a D(w)")]
+    # wk, a tag the checker accepts and the transformations refuse
+    tagged = tmp_path / "tagged.json"
+    tagged.write_text(json.dumps({"kind": "labelled", "calculus": "g3int-ext", "proof": {
+        "sequent": "w: p, w: q => w: p", "rule": "wk", "witness": {}, "premises": [
+            {"sequent": "w: p => w: p", "rule": "id_star",
+             "witness": {"principal": "w: p", "formula": "w: p"}, "premises": []}]}}))
     malformed = []
     for i, doc in enumerate([
         [1, 2],
@@ -200,6 +221,9 @@ def test_exit_code_matrix(tmp_path, capsys):
          "proof": {**nnode, "premises": [{**nnode, "sequent": " -> p -> ("}]}},
         {"kind": "nested", "calculus": "nint-star",
          "proof": {**nnode, "premises": [{**nnode, "witness": {"formula": "p &&& q"}}]}},
+        # a witness without its separator
+        *({"kind": "labelled", "calculus": "g3int", "proof": {**node, "witness": {key: text}}}
+          for key, text in unseparated),
     ]):
         malformed.append(tmp_path / f"malformed{i}.json")
         malformed[-1].write_text(json.dumps(doc))
@@ -225,6 +249,10 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["countermodel", "p -> ("], 2),
         (["countermodel", "p", "--max-worlds", "9"], 0),
         (["countermodel", "p -> p", "--max-worlds", "9"], 2),
+        # negative sizes
+        (["countermodel", "forall x. p(x)", "--domain-size", "-3", "--max-worlds", "1"], 2),
+        (["countermodel", "p", "--domain-size", "-1"], 2),
+        (["fuzz-soundness", "--models", "-1"], 2),
         (["model-eval", str(model), "p -> p"], 0),
         (["model-eval", str(model), "p"], 1),
         (["model-eval", str(tmp_path / "absent.txt"), "p"], 2),
@@ -233,6 +261,8 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["eliminate", str(proof)], 0),
         (["eliminate", str(tmp_path / "absent.json")], 2),
         (["eliminate", str(proof), "--calc", "bogus"], 2),
+        (["check", str(tagged)], 0),
+        (["eliminate", str(tagged), "--calc", "g3int-ext"], 2),
         (["fuzz-soundness", "--models", "5"], 0),
         (["fuzz-soundness", "--max-worlds", "3000", "--models", "1"], 2),
         (["parse", "~" * 3000 + "p"], 2),
@@ -245,3 +275,7 @@ def test_exit_code_matrix(tmp_path, capsys):
         got = run(argv)
         capsys.readouterr()
         assert got == want, f"{argv}: expected {want}, got {got}"
+    # the message quotes the malformed witness text
+    for (_key, text), path in zip(unseparated, malformed[-len(unseparated):]):
+        assert run(["check", str(path)]) == 2
+        assert repr(text) in capsys.readouterr().err

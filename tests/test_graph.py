@@ -57,7 +57,7 @@ def test_graph_of_single_labelled_formula():
 
 
 def test_graph_of_nested_prefixes():
-    g = graph_of_nested(parse_nested("p -> q"), "0")
+    g = graph_of_nested(parse_nested("p -> q"))
     assert g.vertices == frozenset({"0"})
     g2 = graph_of_nested(SIGMA)
     assert g2.vertices == frozenset({"0", "00", "000", "01"})
